@@ -37,13 +37,6 @@ def _no_inline(addr, is_write, value=None):
     return None
 
 
-def _no_run(seq, start, out):
-    """Fallback batched lane: commits nothing, so every element of the
-    run decomposes to the scalar per-access path (node models without
-    lanes, and machines with ``batch_lanes`` off)."""
-    return start
-
-
 class _InlineDone:
     """A ``yield from``-able that returns a value without ever yielding.
 
@@ -96,32 +89,15 @@ class AppContext:
         self.machine = machine
         self.node_id = node_id
         self._node = machine.nodes[node_id]
-        # The batched inline-hit lane: node models expose access_inline,
-        # which services TLB + cache hits (the dominant reference class)
-        # in one plain call — no generator, no event queue.  Consecutive
+        # The inline-hit lane: node models expose access_inline, which
+        # services TLB + cache hits (the dominant reference class) in
+        # one plain call — no generator, no event queue.  Consecutive
         # hits therefore run back-to-back in the worker's loop, entering
         # the simulator only on a miss, fault, or sync op.
         self._inline = getattr(self._node, "access_inline", _no_inline)
         self._access = self._node.access
         self._done = _InlineDone()
         self._charge = _InlineCharge()
-        # The vectorised run lanes: a node-model method that commits the
-        # longest all-hit prefix of a run in one step.  With lanes off
-        # (machine.batch_lanes False — the scalar differential oracle)
-        # or on nodes without lanes (DirNNB) the stub commits nothing
-        # and runs decompose to the per-access path above.
-        if getattr(machine, "batch_lanes", True):
-            self._run_reads = getattr(self._node, "run_read_prefix", _no_run)
-            self._run_plan = getattr(self._node, "run_plan_prefix", _no_run)
-        else:
-            # Scalar mode is the differential oracle *and* the honest
-            # perf baseline: a run decomposes to exactly what an
-            # unported worker executes — one read()/write() call per
-            # element, each driven by ``yield from``.
-            self._run_reads = _no_run
-            self._run_plan = _no_run
-            self.read_run = self._read_run_scalar
-            self.access_plan = self._plan_scalar
 
     @property
     def num_nodes(self) -> int:
@@ -142,53 +118,13 @@ class AppContext:
             return done
         return self._access(addr, True, value)
 
-    def read_run(self, addrs):
+    def read_run(self, addrs) -> Generator:
         """Read a run of addresses; ``yield from`` returns their values.
 
-        Behaviourally identical to ``[ (yield from read(a)) for a in
-        addrs ]`` — same cycles, same counters, same fault handling —
-        but hit prefixes commit through the node's vectorised lane in
-        one call instead of one call per element.  The first non-hit
-        element falls back to the scalar path, then the run resumes.
+        Exactly ``[(yield from read(a)) for a in addrs]``: same cycles,
+        same counters, same fault handling.  Workers state a sequence of
+        references as one call; each element takes the scalar path.
         """
-        out: list = []
-        # Lane setup costs roughly two inline hits; a run shorter than
-        # three elements cannot win even when it commits whole, so short
-        # runs go straight to the per-element tail.
-        index = self._run_reads(addrs, 0, out) if len(addrs) >= 3 else 0
-        if index >= len(addrs):
-            done = self._done
-            done.value = out
-            return done
-        return self._read_run_tail(addrs, index, out)
-
-    def _read_run_tail(self, addrs, index: int, out: list) -> Generator:
-        total = len(addrs)
-        run = self._run_reads
-        inline = self._inline
-        access = self._access
-        while index < total:
-            # The stopping element takes exactly the scalar read() path:
-            # inline attempt, then the general access generator.
-            hit = inline(addrs[index], False)
-            if hit is not None:
-                # An inline hit means the lane's window was too small
-                # and still is (nothing new can enter the event queue
-                # while this thread runs, and the clock only closes on
-                # the queue head) — retrying the lane would be a
-                # guaranteed-rejected call per element.
-                out.append(hit[0])
-                index += 1
-                continue
-            out.append((yield from access(addrs[index], False)))
-            index += 1
-            if total - index >= 3:
-                # The generator op suspended the thread: time jumped and
-                # other nodes ran, so the window may have reopened.
-                index = run(addrs, index, out)
-        return out
-
-    def _read_run_scalar(self, addrs) -> Generator:
         out: list = []
         read = self.read
         for addr in addrs:
@@ -196,48 +132,17 @@ class AppContext:
         return out
 
     def write_run(self, pairs):
-        """Write a run of ``(addr, value)`` pairs via the batched lane."""
+        """Write a run of ``(addr, value)`` pairs; returns one None each."""
         return self.access_plan([
             (addr, True, value) for addr, value in pairs
         ])
 
-    def access_plan(self, ops):
+    def access_plan(self, ops) -> Generator:
         """Run a mixed plan of ``(addr, is_write, value)`` ops.
 
         ``yield from`` returns one entry per op: the value for reads,
-        None for writes.  Same batched-prefix / scalar-tail contract as
-        :meth:`read_run`.
+        None for writes.
         """
-        out: list = []
-        index = self._run_plan(ops, 0, out) if len(ops) >= 3 else 0
-        if index >= len(ops):
-            done = self._done
-            done.value = out
-            return done
-        return self._plan_tail(ops, index, out)
-
-    def _plan_tail(self, ops, index: int, out: list) -> Generator:
-        total = len(ops)
-        run = self._run_plan
-        inline = self._inline
-        access = self._access
-        while index < total:
-            addr, is_write, value = ops[index]
-            hit = inline(addr, is_write, value)
-            if hit is not None:
-                # Same reasoning as _read_run_tail: the window the lane
-                # just rejected cannot have grown, so don't retry it
-                # until an op actually suspends the thread.
-                out.append(hit[0])
-                index += 1
-                continue
-            out.append((yield from access(addr, is_write, value)))
-            index += 1
-            if total - index >= 3:
-                index = run(ops, index, out)
-        return out
-
-    def _plan_scalar(self, ops) -> Generator:
         out: list = []
         read = self.read
         write = self.write

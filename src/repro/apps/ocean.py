@@ -83,8 +83,7 @@ class OceanApplication(Application):
                 if row in (0, self.grid - 1):
                     continue  # fixed boundary
                 for col in range(1, self.grid - 1):
-                    # The five stencil loads are one batched run (same
-                    # access order as the scalar reads they replace).
+                    # The five stencil loads, as one read run.
                     centre, north, south, west, east = yield from (
                         ctx.read_run([
                             self.cell_addr(source, row, col),

@@ -12,9 +12,6 @@ mix together:
 * :class:`ProducerConsumerApplication` — node *i* writes a buffer that
   node *i+1* reads next phase; the pattern delayed-update protocols
   exploit.
-* :class:`ReferenceSweepApplication` — dense owned-range sweeps at
-  near-100% hit rate; the reference-intensity microbenchmark for the
-  vectorised access lanes.
 """
 
 from __future__ import annotations
@@ -86,52 +83,6 @@ class MigratoryApplication(Application):
 
     def expected_total(self, num_nodes: int) -> int:
         return self.rounds * num_nodes
-
-
-class ReferenceSweepApplication(Application):
-    """Dense owned-range sweeps: the reference-intensity microbenchmark.
-
-    Each node repeatedly sweeps every word of its owned records — after
-    the first (cold) pass the sweep is ~100% TLB+cache hits, exactly the
-    reference class the batched lanes vectorise.  Nodes take strict
-    turns (everyone else waits at the barrier), so the sweeping node
-    runs alone in its time window and the lane's event-queue check
-    admits whole-sweep prefixes; the measurement isolates per-reference
-    engine cost rather than protocol traffic or lock-step rejection.
-    """
-
-    name = "synthetic.sweep"
-
-    def __init__(self, records: int = 256, sweeps: int = 8):
-        self.records = records
-        self.sweeps = sweeps
-        self.array: SharedArray | None = None
-
-    def setup(self, machine, protocol=None) -> None:
-        self.array = SharedArray(machine, protocol, self.records,
-                                 RECORD_BYTES, label="sweep")
-        for index in range(self.records):
-            for offset in range(0, RECORD_BYTES, 8):
-                self.poke(machine, self.array.addr(index, offset), 0)
-
-    def worker(self, ctx: AppContext):
-        mine = [
-            self.array.addr(index, offset)
-            for index in self.array.owned_range(ctx.node_id)
-            for offset in range(0, RECORD_BYTES, 8)
-        ]
-        for sweep in range(self.sweeps):
-            for turn in range(ctx.num_nodes):
-                if turn == ctx.node_id:
-                    values = yield from ctx.read_run(mine)
-                    assert all(value == sweep for value in values), (
-                        f"node {ctx.node_id} saw stale values in "
-                        f"sweep {sweep}"
-                    )
-                    yield from ctx.write_run(
-                        [(addr, sweep + 1) for addr in mine]
-                    )
-                yield from ctx.barrier()
 
 
 class ProducerConsumerApplication(Application):

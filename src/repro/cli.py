@@ -124,18 +124,8 @@ _REGISTRY = {
         ],
     ),
     "bench": (
-        "Dispatch-kernel throughput on the protocol hot path",
-        lambda args: [
-            experiments.run_bench(kernel=args.kernel, nodes=args.nodes,
-                                  seed=args.seed)
-        ],
-    ),
-    "differential": (
-        "Compiled-vs-interpreted kernel differential over the matrix",
-        lambda args: [
-            experiments.run_differential(nodes=min(args.nodes, 4),
-                                         seed=args.seed)
-        ],
+        "Dispatch throughput on the protocol hot path",
+        lambda args: [experiments.run_bench(nodes=args.nodes, seed=args.seed)],
     ),
     "sweep-cache": (
         "Cold vs warm sweep through the content-addressed result store",
@@ -351,10 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master RNG seed (default 42)")
     parser.add_argument("--apps", type=str, default=",".join(APP_NAMES),
                         help="figure3 only: comma-separated app subset")
-    parser.add_argument("--kernel", choices=("interpreted", "compiled"),
-                        default="interpreted",
-                        help="bench only: dispatch kernel to time "
-                             "(default interpreted)")
     parser.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format (default text)")
     return parser

@@ -21,7 +21,7 @@ load unchanged.  It is the middle point of the paper's design space:
 
 :class:`DecoupledNode` subclasses :class:`~repro.blizzard.node.BlizzardNode`
 for the shared software-Tempest state (tag store, page table, inserted
-check costs, the batched access lanes) and overrides the paths where the
+check costs) and overrides the paths where the
 second CPU changes the story: message arrival, fault handling, and the
 per-reference cost (no poll term).
 """
@@ -269,15 +269,9 @@ class DecoupledNode(BlizzardNode):
 
     def __init__(self, node_id: int, machine: "DecoupledMachine"):
         super().__init__(node_id, machine)
-        # Re-resolve everything the base class derived from the Blizzard
-        # cost section: this backend bills from config.decoupled.
-        self.costs = machine.config.decoupled
-        costs = self.costs
-        # Per-element lane costs: no inserted poll — the handler
-        # processor watches the network — so a checked shared hit is
-        # just inserted check + cache hit.
-        self._shared_read_cost = costs.check_read_cycles + self._hit_cycles
-        self._shared_write_cost = costs.check_write_cycles + self._hit_cycles
+        # This backend bills from config.decoupled, not the Blizzard
+        # cost section the base class resolved.
+        self.costs = costs = machine.config.decoupled
         self._fills_killed_key = f"{self._prefix}.cpu.fills_killed"
         self._messages_sent_key = f"{self._prefix}.hp.messages_sent"
         # The second CPU.  It replaces the base class's SoftwareDispatcher

@@ -22,7 +22,6 @@ from repro.apps.barnes import BarnesApplication
 from repro.apps.em3d import Em3dApplication
 from repro.apps.mp3d import Mp3dApplication
 from repro.apps.ocean import OceanApplication
-from repro.apps.synthetic import ReferenceSweepApplication
 
 #: The scaled analogue of the paper's 4K/16K/64K/256K CPU-cache ladder.
 SCALED_CACHE_SIZES = (512, 2048, 8192, 32768)
@@ -92,13 +91,6 @@ def _registry() -> dict[tuple[str, str], Workload]:
             lambda: Em3dApplication(nodes_per_proc=72, degree=6,
                                     remote_fraction=0.2, iterations=2,
                                     seed=39),
-        ),
-        Workload(
-            "sweep", "ref",
-            "n/a (reference-intensity microbenchmark)",
-            lambda: ReferenceSweepApplication(records=512, sweeps=16),
-            description="dense owned-range sweeps, ~100% hit rate; "
-                        "measures the vectorised access lanes",
         ),
     ]
     return {(w.app_name, w.dataset): w for w in entries}

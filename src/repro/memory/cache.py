@@ -53,9 +53,6 @@ class Cache:
         self._set_mask = config.num_sets - 1
         self._block_shift = config.block_size.bit_length() - 1
         self._insert_counter = 0
-        #: Optional :class:`repro.memory.mirror.AccessMirror`; every
-        #: residency/state change below keeps its block bits coherent.
-        self.mirror = None
         # Counters maintained locally; the node model publishes them.
         self.hits = 0
         self.misses = 0
@@ -111,26 +108,19 @@ class Cache:
         produced.
         """
         cache_set = self._set_for(block_addr)
-        mirror = self.mirror
         existing = cache_set.get(block_addr)
         if existing is not None:
             existing.state = state
-            if mirror is not None:
-                mirror.cache_set(block_addr, state is LineState.EXCLUSIVE)
             return None
         victim = None
         if len(cache_set) >= self.config.associativity:
             victim = self._choose_victim(cache_set)
             del cache_set[victim.block_addr]
             self.replacements += 1
-            if mirror is not None:
-                mirror.cache_clear(victim.block_addr)
         self._insert_counter += 1
         cache_set[block_addr] = CacheLine(
             block_addr, state, fifo_order=self._insert_counter
         )
-        if mirror is not None:
-            mirror.cache_set(block_addr, state is LineState.EXCLUSIVE)
         return victim
 
     def _choose_victim(self, cache_set: dict[int, CacheLine]) -> CacheLine:
@@ -147,10 +137,7 @@ class Cache:
     def invalidate(self, block_addr: int) -> CacheLine | None:
         """Drop a block (coherence invalidation); returns the line if present."""
         cache_set = self._set_for(block_addr)
-        line = cache_set.pop(block_addr, None)
-        if line is not None and self.mirror is not None:
-            self.mirror.cache_clear(block_addr)
-        return line
+        return cache_set.pop(block_addr, None)
 
     def downgrade(self, block_addr: int) -> bool:
         """EXCLUSIVE -> SHARED (remote read of an owned block)."""
@@ -158,8 +145,6 @@ class Cache:
         if line is None:
             return False
         line.state = LineState.SHARED
-        if self.mirror is not None:
-            self.mirror.cache_set(block_addr, False)
         return True
 
     # ------------------------------------------------------------------
@@ -173,8 +158,6 @@ class Cache:
     def flush(self) -> None:
         for cache_set in self._sets:
             cache_set.clear()
-        if self.mirror is not None:
-            self.mirror.cache_flush()
 
     def __len__(self) -> int:
         return sum(len(cache_set) for cache_set in self._sets)

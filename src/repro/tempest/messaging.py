@@ -264,19 +264,10 @@ class DeliveryGuard:
         return False
 
     def wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """Wrap a handler so duplicate deliveries become no-ops.
-
-        The wrapper is tagged with ``__wrapped__`` (the raw handler) and
-        ``__guard__`` (this guard), so the compiled kernel can fuse the
-        duplicate check into its dispatch table instead of paying a call
-        frame per invocation — with identical semantics, because the
-        fused check is exactly the body below.
-        """
+        """Wrap a handler so duplicate deliveries become no-ops."""
         def guarded(tempest: Any, message: Any) -> Any:
             xid = getattr(message, "xid", None)
             if xid is not None and self.seen(message.src, xid):
                 return None
             return fn(tempest, message)
-        guarded.__wrapped__ = fn
-        guarded.__guard__ = self
         return guarded

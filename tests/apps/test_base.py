@@ -119,3 +119,122 @@ class TestRunApp:
         time = run_app(m, ComputeApp(), protocol)
         from repro.apps.base import FLOP_CYCLES, OVERHEAD_CYCLES
         assert time == 10 * FLOP_CYCLES + 3 * OVERHEAD_CYCLES
+
+
+# ----------------------------------------------------------------------
+# The run API: read_run / write_run / access_plan
+# ----------------------------------------------------------------------
+#: One record per cache block; 136 records = 4352 bytes, so the flat
+#: (round-robin homed) array straddles a 4 KB page boundary at record
+#: 128, and the second page is homed on node 1.
+RUN_RECORDS = 136
+RUN_RECORD_BYTES = 32
+
+#: Per-node program of run calls, as record indices.  Node ``n`` offsets
+#: every index by ``3 * n`` so the nodes share some blocks.  Each cold
+#: record is read twice in a row (offsets 0 and 8): a miss, then a hit.
+RUN_PROGRAM = (
+    ("read", []),
+    ("write", []),
+    ("plan", []),
+    ("read", [0, 0, 1, 1, 2, 2, 3]),
+    ("read", [124, 125, 126, 127, 128, 129, 130, 131]),
+    ("write", [0, 1, 2, 64, 127, 128]),
+    ("plan", [(0, False), (0, True), (5, True), (5, False), (127, False),
+              (128, True), (3, False)]),
+    ("barrier", None),
+    ("read", [0, 3, 5, 64, 128, 131]),
+    ("plan", [(3, True), (64, False), (131, True), (131, False)]),
+)
+
+
+class _RunProgram(Application):
+    """Executes RUN_PROGRAM through the run API (``scalar=False``) or as
+    its element-by-element ``read``/``write`` twin (``scalar=True``)."""
+
+    def __init__(self, scalar: bool):
+        self.scalar = scalar
+        self.results: dict[int, list] = {}
+        self.array: SharedArray | None = None
+
+    def setup(self, machine, protocol=None) -> None:
+        self.array = SharedArray(machine, protocol, RUN_RECORDS,
+                                 RUN_RECORD_BYTES, label="runs",
+                                 striped=False)
+        for index in range(RUN_RECORDS):
+            for offset in (0, 8):
+                self.poke(machine, self.array.addr(index, offset), index)
+
+    def _ops(self, node_id: int, kind: str, payload) -> list:
+        def addr(index: int, repeat: int) -> int:
+            offset = 8 if repeat else 0
+            return self.array.addr((index + 3 * node_id) % RUN_RECORDS,
+                                   offset)
+
+        ops = []
+        for position, item in enumerate(payload):
+            index, is_write = (item if kind == "plan"
+                               else (item, kind == "write"))
+            repeat = position > 0 and payload[position - 1] == item
+            value = (node_id, len(ops)) if is_write else None
+            ops.append((addr(index, repeat), is_write, value))
+        return ops
+
+    def worker(self, ctx: AppContext):
+        results = self.results.setdefault(ctx.node_id, [])
+        for kind, payload in RUN_PROGRAM:
+            if kind == "barrier":
+                yield from ctx.barrier()
+                continue
+            ops = self._ops(ctx.node_id, kind, payload)
+            if self.scalar:
+                out = []
+                for addr, is_write, value in ops:
+                    if is_write:
+                        out.append((yield from ctx.write(addr, value)))
+                    else:
+                        out.append((yield from ctx.read(addr)))
+            elif kind == "read":
+                out = yield from ctx.read_run([op[0] for op in ops])
+            elif kind == "write":
+                out = yield from ctx.write_run(
+                    [(addr, value) for addr, _, value in ops])
+            else:
+                out = yield from ctx.access_plan(ops)
+            results.append((ops, out))
+        yield from ctx.barrier()
+
+
+@pytest.mark.parametrize("system", ["typhoon:stache", "blizzard:stache",
+                                    "decoupled:stache", "dirnnb"])
+def test_run_api_matches_scalar_twin(system):
+    from repro.harness.runner import run_application
+
+    config = MachineConfig(nodes=2, seed=7).with_cache_size(1024)
+    runs, scalar = _RunProgram(scalar=False), _RunProgram(scalar=True)
+    run_outcome = run_application(system, runs, config)
+    scalar_outcome = run_application(system, scalar, config)
+
+    # The program really straddles a 4 KB page boundary.
+    straddle = runs.results[0][4][0]
+    assert len({addr >> 12 for addr, _, _ in straddle}) == 2
+
+    for node_id, calls in runs.results.items():
+        assert len(calls) == len(RUN_PROGRAM) - 1
+        for (ops, out), (_, twin_out) in zip(calls,
+                                             scalar.results[node_id]):
+            # One entry per element: the value for reads, None for writes.
+            assert len(out) == len(ops)
+            for (_, is_write, _), value in zip(ops, out):
+                assert (value is None) if is_write else (value is not None)
+            assert out == twin_out
+    assert run_outcome["execution_time"] == scalar_outcome["execution_time"]
+    assert (run_outcome["machine"].stats.as_dict()
+            == scalar_outcome["machine"].stats.as_dict())
+    # The program mixes hits and misses on every node.
+    stats = run_outcome["machine"].stats
+    for node_id in range(2):
+        refs = stats.get(f"node{node_id}.cpu.refs")
+        misses = (stats.get(f"node{node_id}.cpu.local_misses")
+                  + stats.get(f"node{node_id}.cpu.block_faults"))
+        assert 0 < misses < refs

@@ -48,25 +48,11 @@ def test_parser_defaults():
     assert args.seed == 42
 
 
-def test_bench_kernel_flag(capsys):
-    assert main(["bench", "--kernel", "compiled", "--nodes", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "compiled kernel" in out
-    assert "events_per_s" in out
-
-
-def test_bench_defaults_to_interpreted():
-    args = build_parser().parse_args(["bench"])
-    assert args.kernel == "interpreted"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench", "--kernel", "jit"])
-
-
-def test_differential_subcommand(capsys):
-    assert main(["differential", "--nodes", "2"]) == 0
+def test_bench_runs(capsys):
+    assert main(["bench", "--nodes", "2"]) == 0
     out = capsys.readouterr().out
     assert "typhoon:stache" in out
-    assert "NO" not in out.split("fallback_reason")[-1]
+    assert "events_per_s" in out
 
 
 # ----------------------------------------------------------------------

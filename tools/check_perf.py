@@ -3,8 +3,7 @@
 
 Compares a freshly measured ``BENCH_kernel.json`` (written by
 ``benchmarks/test_perf_kernel.py``) against the baseline committed at
-``HEAD`` and fails on regression.  Three checks per workload/kernel
-cell, in increasing strictness:
+``HEAD`` and fails on regression.  Two checks per workload row:
 
 1. **Determinism** (exact, no tolerance): ``events_fired`` and
    ``simulated_cycles`` must equal the committed baseline.  These are
@@ -17,20 +16,6 @@ cell, in increasing strictness:
    ``(1 - tolerance)`` of the baseline.  Default tolerance 0.25 —
    the gate of CI's ``perf`` job — overridable with
    ``REPRO_PERF_TOLERANCE`` (e.g. ``0.5`` on very noisy hosts).
-
-3. **Kernel ordering** (tolerant): on cells measured under both
-   kernels, the compiled kernel's wall-clock speedup over interpreted
-   must stay above ``REPRO_PERF_MIN_SPEEDUP`` (default 0.75, i.e. the
-   compiled kernel may never be more than 25% *slower* than the
-   interpreted oracle, whatever the host).
-
-The batched-access-lane rows (the ``lanes`` payload section) get the
-same determinism and throughput checks per lane cell, plus two of their
-own: scalar and batched must agree exactly on ``simulated_cycles`` and
-``events_fired`` (the lanes change wall-clock only), and the CPU-time
-lane speedup must stay above its floor — ``REPRO_PERF_MIN_LANE_SPEEDUP``
-(default 1.3) on the reference-intensity microbenchmark row, the row's
-own recorded ``lane_floor`` on the application rows.
 
 Usage::
 
@@ -78,15 +63,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=float(os.environ.get(
                             "REPRO_PERF_TOLERANCE", "0.25")),
                         help="allowed fractional events/s regression")
-    parser.add_argument("--min-speedup", type=float,
-                        default=float(os.environ.get(
-                            "REPRO_PERF_MIN_SPEEDUP", "0.75")),
-                        help="floor on compiled-vs-interpreted speedup")
-    parser.add_argument("--min-lane-speedup", type=float,
-                        default=float(os.environ.get(
-                            "REPRO_PERF_MIN_LANE_SPEEDUP", "1.3")),
-                        help="floor on the microbenchmark's batched-vs-"
-                             "scalar lane speedup")
     args = parser.parse_args(argv)
 
     fresh_path = Path(args.fresh)
@@ -106,97 +82,30 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     base_cells = baseline.get("workloads", {})
-    for label, fresh_row in sorted(fresh.get("workloads", {}).items()):
-        base_row = base_cells.get(label)
-        if base_row is None:
+    for label, cell in sorted(fresh.get("workloads", {}).items()):
+        base = base_cells.get(label)
+        if base is None:
             print(f"{label:>16}: new workload (no baseline) -- recorded")
             continue
-        for kernel, cell in sorted(fresh_row.get("kernels", {}).items()):
-            base = base_row.get("kernels", {}).get(kernel)
-            if base is None:
-                print(f"{label:>16} [{kernel}]: new kernel column -- recorded")
-                continue
-            for field in ("events_fired", "simulated_cycles"):
-                if cell[field] != base[field]:
-                    failures.append(
-                        f"{label} [{kernel}]: {field} changed "
-                        f"{base[field]} -> {cell[field]} (simulated "
-                        f"behaviour drifted; regenerate and commit "
-                        f"BENCH_kernel.json in this PR)"
-                    )
-            floor = base["events_per_second"] * (1 - args.tolerance)
-            ok = cell["events_per_second"] >= floor
-            print(f"{label:>16} [{kernel:>11}]: "
-                  f"{cell['events_per_second']:>10,.0f} events/s vs "
-                  f"baseline {base['events_per_second']:>10,.0f} "
-                  f"(floor {floor:,.0f}) {'ok' if ok else 'REGRESSED'}")
-            if not ok:
+        for field in ("events_fired", "simulated_cycles"):
+            if cell[field] != base[field]:
                 failures.append(
-                    f"{label} [{kernel}]: events/s regressed more than "
-                    f"{args.tolerance:.0%}: {cell['events_per_second']:,.0f}"
-                    f" < {floor:,.0f}"
+                    f"{label}: {field} changed {base[field]} -> "
+                    f"{cell[field]} (simulated behaviour drifted; "
+                    f"regenerate and commit BENCH_kernel.json in this PR)"
                 )
-        speedup = fresh_row.get("speedup")
-        if speedup is not None and speedup < args.min_speedup:
+        floor = base["events_per_second"] * (1 - args.tolerance)
+        ok = cell["events_per_second"] >= floor
+        print(f"{label:>16}: "
+              f"{cell['events_per_second']:>10,.0f} events/s vs "
+              f"baseline {base['events_per_second']:>10,.0f} "
+              f"(floor {floor:,.0f}) {'ok' if ok else 'REGRESSED'}")
+        if not ok:
             failures.append(
-                f"{label}: compiled kernel speedup {speedup:.2f}x fell "
-                f"below the {args.min_speedup:.2f}x floor"
+                f"{label}: events/s regressed more than "
+                f"{args.tolerance:.0%}: {cell['events_per_second']:,.0f}"
+                f" < {floor:,.0f}"
             )
-
-    base_lanes = baseline.get("lanes", {})
-    for label, fresh_row in sorted(fresh.get("lanes", {}).items()):
-        base_row = base_lanes.get(label)
-        cells = fresh_row.get("lanes", {})
-        # The lane axis is wall-clock only: both lane modes must agree
-        # exactly on the simulated outcome, baseline or not.
-        for field in ("simulated_cycles", "events_fired"):
-            values = {mode: cell[field] for mode, cell in cells.items()}
-            if len(set(values.values())) > 1:
-                failures.append(
-                    f"{label}: scalar and batched lanes disagree on "
-                    f"{field}: {values} (the lanes must not change "
-                    f"simulated behaviour)"
-                )
-        for mode, cell in sorted(cells.items()):
-            base = (base_row or {}).get("lanes", {}).get(mode)
-            if base is None:
-                print(f"{label:>16} [{mode}]: new lane cell -- recorded")
-                continue
-            for field in ("events_fired", "simulated_cycles"):
-                if cell[field] != base[field]:
-                    failures.append(
-                        f"{label} [{mode}]: {field} changed "
-                        f"{base[field]} -> {cell[field]} (simulated "
-                        f"behaviour drifted; regenerate and commit "
-                        f"BENCH_kernel.json in this PR)"
-                    )
-            floor = base["events_per_second"] * (1 - args.tolerance)
-            ok = cell["events_per_second"] >= floor
-            print(f"{label:>16} [{mode:>11}]: "
-                  f"{cell['events_per_second']:>10,.0f} events/s vs "
-                  f"baseline {base['events_per_second']:>10,.0f} "
-                  f"(floor {floor:,.0f}) {'ok' if ok else 'REGRESSED'}")
-            if not ok:
-                failures.append(
-                    f"{label} [{mode}]: events/s regressed more than "
-                    f"{args.tolerance:.0%}: {cell['events_per_second']:,.0f}"
-                    f" < {floor:,.0f}"
-                )
-        lane_speedup = fresh_row.get("lane_speedup")
-        if fresh_row.get("microbenchmark"):
-            lane_floor = args.min_lane_speedup
-        else:
-            lane_floor = fresh_row.get("lane_floor")
-        if lane_speedup is not None and lane_floor is not None:
-            ok = lane_speedup >= lane_floor
-            print(f"{label:>16} [lane spdup ]: {lane_speedup:.2f}x "
-                  f"(floor {lane_floor:.2f}x) {'ok' if ok else 'REGRESSED'}")
-            if not ok:
-                failures.append(
-                    f"{label}: batched-vs-scalar lane speedup "
-                    f"{lane_speedup:.2f}x fell below the "
-                    f"{lane_floor:.2f}x floor"
-                )
 
     if failures:
         print(f"\n{len(failures)} performance check(s) failed:",
@@ -205,8 +114,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print("\nall performance checks passed "
-          f"(tolerance {args.tolerance:.0%}, "
-          f"min speedup {args.min_speedup:.2f}x)")
+          f"(tolerance {args.tolerance:.0%})")
     return 0
 
 
