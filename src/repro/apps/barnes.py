@@ -155,6 +155,11 @@ class BarnesApplication(Application):
             return node.com_x, node.com_y, node.mass
 
         summarize(root)
+        # The helpers recurse through their closure cells, a reference
+        # cycle that would keep this application (and through its
+        # arrays, the machine) alive until the collector ran.  Emptying
+        # the cells breaks it.
+        del insert, _place, summarize
         return root
 
     def _force_on(self, node: _TreeNode, x: float, y: float,

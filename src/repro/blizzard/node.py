@@ -18,6 +18,7 @@ unchanged.  The differences are where the paper says they are:
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Any, Generator
 
@@ -47,7 +48,7 @@ class SoftwareDispatcher:
     """
 
     def __init__(self, node: "BlizzardNode"):
-        self.node = node
+        self._node_id = node.node_id
         self._fault_dispatch: dict[tuple[int, bool], str] = {}
         self.pending_charge = 0
 
@@ -59,7 +60,7 @@ class SoftwareDispatcher:
         if handler is None:
             raise SimulationError(
                 f"no fault handler for mode={mode} is_write={is_write} "
-                f"on node {self.node.node_id}"
+                f"on node {self._node_id}"
             )
         return handler
 
@@ -78,7 +79,8 @@ class BlizzardNode:
 
     def __init__(self, node_id: int, machine: "BlizzardMachine"):
         self.node_id = node_id
-        self.machine = machine
+        # Weak: the machine owns this node (see repro.machine).
+        self.machine = weakref.proxy(machine)
         self.engine = machine.engine
         self.stats = machine.stats
         self.config = machine.config
@@ -98,11 +100,14 @@ class BlizzardNode:
         self.cpu_tlb = Tlb(machine.config.tlb, name=f"{self._prefix}.tlb")
         self.thread = ComputationThread(self.engine, node_id)
         self.registry = HandlerRegistry(node_id)
+        self.written_blocks: set[int] = set()
+        self._probes = machine.probes
+        self._machine_costs = machine.costs
+        self._interconnect = machine.interconnect
         self.np = SoftwareDispatcher(self)
         self.tempest = Tempest(self)
         self.page_fault_handler = None
 
-        self.written_blocks: set[int] = set()
         self._inbox: deque[Message] = deque()
         self._arrival: Future | None = None
         # Fault injection: inbox bound (None = unbounded, the default).
@@ -135,11 +140,11 @@ class BlizzardNode:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self.machine.num_nodes
+        return self.config.nodes
 
     def send_message(self, message: Message) -> None:
         self._counters[self._messages_sent_key] += 1
-        self.machine.interconnect.send(message)
+        self._interconnect.send(message)
 
     def invalidate_cpu_copy(self, block_addr: int) -> None:
         self.cache.invalidate(block_addr)
@@ -185,7 +190,7 @@ class BlizzardNode:
         message.nacked = True
         self.stats.incr(f"{self._prefix}.sw.nacks_sent")
         self.stats.incr("tempest.nacks_sent")
-        self.machine.interconnect.send(Message(
+        self._interconnect.send(Message(
             src=self.node_id, dst=message.src, handler=NACK_HANDLER,
             vnet=VirtualNetwork.RESPONSE, size_words=2,
             payload={"xid": message.xid},
@@ -209,7 +214,7 @@ class BlizzardNode:
         )
         self._counters[self._handlers_run_key] += 1
         spec.fn(self.tempest, message)
-        monitor = self.machine.conformance
+        monitor = self._probes.conformance
         if monitor is not None:
             monitor.after_handler(self.node_id, message)
         extra = self.np.take_charge()
@@ -312,8 +317,9 @@ class BlizzardNode:
         else:
             result = value = self._image_read(addr)
         counters[self._access_cycles_key] += cycles
-        if self.machine.history is not None:
-            self.machine.history.record(
+        history = self._probes.history
+        if history is not None:
+            history.record(
                 self.node_id, addr, is_write, value,
                 engine.now - cycles, engine.now,
             )
@@ -371,7 +377,7 @@ class BlizzardNode:
             + spec.instructions * self.costs.cycles_per_instruction
         )
         spec.fn(self.tempest, fault)
-        monitor = self.machine.conformance
+        monitor = self._probes.conformance
         if monitor is not None:
             monitor.after_handler(self.node_id, fault)
         extra = self.np.take_charge()
@@ -390,7 +396,7 @@ class BlizzardNode:
         # The user-level page fault handler runs on the primary CPU,
         # charged at this backend's own resolved cost (Blizzard runs
         # used to bill Typhoon's NP instruction count here).
-        yield self.machine.costs.page_fault
+        yield self._machine_costs.page_fault
         extra = self.page_fault_handler(self.tempest, addr, is_write)
         if extra:
             yield extra
@@ -405,8 +411,9 @@ class BlizzardNode:
         else:
             result = value = self._image_read(addr)
         self._counters[self._access_cycles_key] += self.engine.now - start
-        if self.machine.history is not None:
-            self.machine.history.record(
+        history = self._probes.history
+        if history is not None:
+            history.record(
                 self.node_id, addr, is_write, value, start, self.engine.now
             )
         return result

@@ -63,7 +63,8 @@ class HandlerProcessor:
     """
 
     def __init__(self, node: "DecoupledNode", costs: DecoupledCosts):
-        self.node = node
+        # The node owns its handler processor, which keeps no pointer
+        # back to it: everything it needs is a leaf handle taken here.
         self.costs = costs
         self.engine = node.engine
         self.stats = node.stats
@@ -76,6 +77,11 @@ class HandlerProcessor:
         self._block_faults_key = f"{self._prefix}.block_faults"
         self._counters = node.stats._counters
         self._handlers = node.registry._handlers
+        self._registry = node.registry
+        self._page_table = node.page_table
+        self._tempest = node.tempest
+        self._probes = node._probes
+        self._interconnect = node._interconnect
 
         self._response_queue: deque[Message] = deque()
         self._request_queue: deque[Message] = deque()
@@ -113,7 +119,7 @@ class HandlerProcessor:
         message.nacked = True
         self.stats.incr(f"{self._prefix}.nacks_sent")
         self.stats.incr("tempest.nacks_sent")
-        self.node.machine.interconnect.send(Message(
+        self._interconnect.send(Message(
             src=self._node_id, dst=message.src, handler=NACK_HANDLER,
             vnet=VirtualNetwork.RESPONSE, size_words=2,
             payload={"xid": message.xid},
@@ -141,7 +147,7 @@ class HandlerProcessor:
     def enqueue_fault(self, fault: AccessFault) -> None:
         """The compute CPU parked a faulting access's descriptor for us."""
         self._counters[self._block_faults_key] += 1
-        for observer in getattr(self.node.machine, "fault_observers", ()):
+        for observer in self._probes.fault_observers:
             observer(fault)
         self._fault_queue.append(fault)
         self._pump()
@@ -187,7 +193,7 @@ class HandlerProcessor:
     def _start_message(self, message: Message) -> None:
         spec = self._handlers.get(message.handler)
         if spec is None:
-            spec = self.node.registry.lookup(message.handler)  # raises
+            spec = self._registry.lookup(message.handler)  # raises
         cost = (
             self._dispatch_cost
             + spec.instructions * self.costs.cycles_per_instruction
@@ -195,14 +201,14 @@ class HandlerProcessor:
         self._begin(cost, spec.fn, message)
 
     def _start_fault(self, fault: AccessFault) -> None:
-        entry = self.node.page_table.lookup(fault.addr)
+        entry = self._page_table.lookup(fault.addr)
         if entry is None:
             raise DispatchError(
                 f"fault for unmapped page {fault.addr:#x} on node "
                 f"{self._node_id}"
             )
         handler_name = self.fault_handler_for(entry.mode, fault.is_write)
-        spec = self.node.registry.lookup(handler_name)
+        spec = self._registry.lookup(handler_name)
         cost = (
             self._dispatch_cost
             + spec.instructions * self.costs.cycles_per_instruction
@@ -217,8 +223,8 @@ class HandlerProcessor:
     def _execute(self, fn, argument) -> None:
         self._extra_charge = 0
         self._counters[self._handlers_run_key] += 1
-        fn(self.node.tempest, argument)
-        monitor = self.node.machine.conformance
+        fn(self._tempest, argument)
+        monitor = self._probes.conformance
         if monitor is not None:
             monitor.after_handler(self._node_id, argument)
         extra = self._extra_charge
@@ -345,8 +351,9 @@ class DecoupledNode(BlizzardNode):
         else:
             result = value = self._image_read(addr)
         counters[self._access_cycles_key] += cycles
-        if self.machine.history is not None:
-            self.machine.history.record(
+        history = self._probes.history
+        if history is not None:
+            history.record(
                 self.node_id, addr, is_write, value,
                 engine.now - cycles, engine.now,
             )

@@ -18,6 +18,7 @@ Usage::
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -47,7 +48,11 @@ class ProtocolTrace:
     """Event recorder for one machine's protocol activity."""
 
     def __init__(self, machine, capture_payloads: bool = False):
-        self.machine = machine
+        # Weak: the observers below live inside the machine, so a strong
+        # pointer back would keep a finished machine alive.  The recorded
+        # events stay readable after the machine is freed.
+        self.machine = weakref.proxy(machine)
+        self._engine = machine.engine
         self.capture_payloads = capture_payloads
         self.events: list[TraceEvent] = []
         machine.interconnect.observers.append(self._on_message)
@@ -62,7 +67,7 @@ class ProtocolTrace:
                 detail += f" addr={addr:#x}"
         self.events.append(
             TraceEvent(
-                time=self.machine.engine.now,
+                time=self._engine.now,
                 kind=kind,
                 node=message.src,
                 dst=message.dst,
@@ -74,7 +79,7 @@ class ProtocolTrace:
     def _on_fault(self, fault) -> None:
         self.events.append(
             TraceEvent(
-                time=self.machine.engine.now,
+                time=self._engine.now,
                 kind="fault",
                 node=fault.node,
                 dst=None,

@@ -7,6 +7,23 @@ Typhoon running user-level protocols, and the all-hardware DirNNB
 system — are both machines; applications run unchanged on either
 (the paper: "Unaltered shared-memory programs are simply re-linked with
 the Stache runtime library").
+
+Ownership and lifetime
+----------------------
+
+The machine is the root of a tree: it owns the engine, the interconnect
+and the nodes, and each node owns its caches, tag store, page table, NP
+and :class:`~repro.tempest.interface.Tempest`.  Every edge that points
+back up that tree (``node.machine``, ``Tempest._backend``, a protocol's
+or monitor's machine pointer) or closes a loop between peers (the
+interconnect's sink table) is a weak reference, so dropping the last
+reference to a finished machine frees the whole graph by reference
+counting alone.  The per-reference and handler-dispatch paths
+never follow a weak edge: they use strong references to leaf objects
+captured at construction (engine, counters, costs, layout, the node's
+Tempest, :class:`Probes`).  A node, NP or Tempest is therefore valid
+only while its machine is referenced; using one after the machine has
+been freed raises ``ReferenceError``.
 """
 
 from __future__ import annotations
@@ -22,6 +39,27 @@ from repro.sim.engine import Engine, SimulationError
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
 from repro.sim.stats import Stats
+
+
+class Probes:
+    """Machine-wide observation hooks, shared by every component.
+
+    A leaf: components keep a strong reference to it and read the hooks
+    on their hot paths without going through the (weakly referenced)
+    machine.  Everything here is None/empty on a default run.
+    """
+
+    __slots__ = ("history", "conformance", "fault_observers")
+
+    def __init__(self) -> None:
+        #: Access recorder (see repro.protocols.history); when set, every
+        #: CPU access is recorded for consistency checking.
+        self.history = None
+        #: Online conformance monitor (see repro.protocols.conformance).
+        self.conformance = None
+        #: Observers called with each AccessFault the hardware captures
+        #: (see repro.harness.trace).
+        self.fault_observers: list = []
 
 
 class MachineBase:
@@ -54,23 +92,42 @@ class MachineBase:
         self.nodes: list = []
         self.execution_time: float = 0
         self._finish_times: dict[int, float] = {}
-        #: Optional access recorder (see repro.protocols.history); when
-        #: set, every CPU access is recorded for consistency checking.
-        self.history = None
-        #: Observers called with each AccessFault the hardware captures
-        #: (see repro.harness.trace).
-        self.fault_observers: list = []
+        #: History recorder, conformance monitor and fault observers (see
+        #: :class:`Probes`; also reachable as machine attributes).
+        self.probes = Probes()
         #: Active fault-injection plan and its reliable transport (see
         #: repro.network.faults); both None on a reliable machine.
         self.fault_plan = None
         self.transport = None
-        #: Online conformance monitor (see repro.protocols.conformance);
-        #: None unless :meth:`enable_conformance` was called.
-        self.conformance = None
         #: Backend-resolved named protocol costs (see
         #: :class:`repro.tempest.port.CostDomain`); set by machines that
         #: host user-level protocols (None on all-hardware DirNNB).
         self.costs = None
+
+    # ------------------------------------------------------------------
+    @property
+    def history(self):
+        """Optional access recorder (see repro.protocols.history)."""
+        return self.probes.history
+
+    @history.setter
+    def history(self, recorder) -> None:
+        self.probes.history = recorder
+
+    @property
+    def conformance(self):
+        """Online conformance monitor (see repro.protocols.conformance);
+        None unless :meth:`enable_conformance` was called."""
+        return self.probes.conformance
+
+    @conformance.setter
+    def conformance(self, monitor) -> None:
+        self.probes.conformance = monitor
+
+    @property
+    def fault_observers(self) -> list:
+        """Observers called with each AccessFault the hardware captures."""
+        return self.probes.fault_observers
 
     # ------------------------------------------------------------------
     def install_fault_plan(self, faults):

@@ -10,6 +10,8 @@ enabled to check that the conclusions are contention-robust.
 
 from __future__ import annotations
 
+import weakref
+from types import MethodType
 from typing import Callable
 
 from repro.network.message import Message, NACK_HANDLER
@@ -44,7 +46,9 @@ class Interconnect:
         self._latency = topology.latency
         self._counters = self.stats._counters
         self._latency_dist = None
-        self._sinks: dict[int, Callable[[Message], None]] = {}
+        #: node -> (weakref to the sink's owner, function taking the owner
+        #: and the message); see :meth:`attach`.
+        self._sinks: dict[int, tuple[Callable[[], object], Callable]] = {}
         # channel -> earliest time the next delivery may occur (FIFO floor).
         self._channel_clear: dict[tuple[int, int, int], float] = {}
         #: Observers called with ("send"|"deliver"|"drop", message); used
@@ -57,10 +61,19 @@ class Interconnect:
 
     # ------------------------------------------------------------------
     def attach(self, node: int, sink: Callable[[Message], None]) -> None:
-        """Register the delivery callback for one node (its NP or controller)."""
+        """Register the delivery callback for one node (its NP or controller).
+
+        A bound-method sink is held weakly: the machine owns its nodes,
+        and the nodes hold this interconnect to send, so a strong sink
+        table would close a loop (see repro.machine).  Delivering to a
+        node whose machine has been freed raises ``ReferenceError``.
+        """
         if node in self._sinks:
             raise SimulationError(f"node {node} already attached")
-        self._sinks[node] = sink
+        if isinstance(sink, MethodType):
+            self._sinks[node] = (weakref.ref(sink.__self__), sink.__func__)
+        else:
+            self._sinks[node] = (lambda: sink, _call)
 
     def install_faults(self, plan, transport) -> None:
         """Activate a bound FaultPlan and its ReliableTransport.
@@ -158,7 +171,12 @@ class Interconnect:
             # dispatched to the node's sink.
             transport.on_nack(message)
             return
-        self._sinks[message.dst](message)
+        owner_ref, sink = self._sinks[message.dst]
+        owner = owner_ref()
+        if owner is None:
+            raise ReferenceError(
+                f"node {message.dst} was freed with its machine")
+        sink(owner, message)
         callback = message.on_delivered
         if callback is not None:
             # Fire-once: a message can reach delivery more than once
@@ -195,6 +213,11 @@ class Interconnect:
 
     def __repr__(self) -> str:
         return f"Interconnect({len(self._sinks)} nodes, {self.topology!r})"
+
+
+def _call(sink: Callable[[Message], None], message: Message) -> None:
+    """Deliver to a plain-callable sink (held strongly by attach)."""
+    sink(message)
 
 
 class BarrierNetwork:

@@ -42,6 +42,7 @@ test run with the ``REPRO_CONFORMANCE=1`` environment variable.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -313,7 +314,10 @@ class ConformanceMonitor:
 
     def __init__(self, machine, spec: ProtocolSpec, strict: bool = True,
                  history: int = 64):
-        self.machine = machine
+        # Weak: the machine owns its monitor, and the observers this
+        # monitor installs sit inside the machine's components.
+        self.machine = weakref.proxy(machine)
+        self._engine = machine.engine
         self.spec = spec
         self.strict = strict
         self.recorder = FlightRecorder(history)
@@ -351,6 +355,15 @@ class ConformanceMonitor:
         # advance.
         self._update_sent: dict[tuple[int, int, str], int] = {}
         self._update_safe: dict[tuple[int, str], int] = {}
+        # The entry-state hook holds this monitor weakly: the monitor
+        # holds the entries it watches, so a bound method would close a
+        # loop through every watched entry.
+        monitor = weakref.ref(self)
+
+        def state_observer(entry, old, new):
+            monitor()._on_state(entry, old, new)
+
+        self._state_observer = state_observer
 
     # ------------------------------------------------------------------
     def attach(self) -> "ConformanceMonitor":
@@ -395,7 +408,7 @@ class ConformanceMonitor:
             return
         self._entries[(home, block)] = entry
         self._entry_keys[id(entry)] = (home, block)
-        entry._observer = self._on_state
+        entry._observer = self._state_observer
 
     # ------------------------------------------------------------------
     # Observers
@@ -405,7 +418,7 @@ class ConformanceMonitor:
         home, block = self._entry_keys[id(entry)]
         self.checks += 1
         self.recorder.record(
-            self.machine.engine.now, "state", home, None,
+            self._engine.now, "state", home, None,
             f"{old.value} -> {new.value}", block,
         )
         if (old, new) not in self.spec.directory_transitions:
@@ -418,7 +431,7 @@ class ConformanceMonitor:
     def _on_tag(self, node: int, addr: int, old: Tag, new: Tag) -> None:
         self.checks += 1
         self.recorder.record(
-            self.machine.engine.now, "tag", node, None,
+            self._engine.now, "tag", node, None,
             f"{old.value} -> {new.value}", addr,
         )
         if (old, new) not in self.spec.tag_transitions:
@@ -430,14 +443,14 @@ class ConformanceMonitor:
 
     def _on_fault(self, fault) -> None:
         self.recorder.record(
-            self.machine.engine.now, "fault", fault.node, None,
+            self._engine.now, "fault", fault.node, None,
             fault.kind, fault.block_addr,
         )
 
     def _on_message(self, kind: str, message) -> None:
         addr = message.payload.get("addr")
         self.recorder.record(
-            self.machine.engine.now, kind, message.src, message.dst,
+            self._engine.now, kind, message.src, message.dst,
             message.handler, addr,
         )
         handler = message.handler

@@ -29,6 +29,7 @@ becomes the first node to touch it.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Any, Generator
 
@@ -50,6 +51,35 @@ from repro.sim.process import Future
 from repro.tempest.messaging import DeliveryGuard
 
 
+class HomePlacement:
+    """The page-placement policy: which node is a block's home.
+
+    A leaf shared by the machine and its nodes, so a node's miss path
+    asks it directly rather than through its (weakly held) machine.
+    """
+
+    def __init__(self, policy: str, layout: AddressLayout, heap) -> None:
+        self._first_touch = policy == "first_touch"
+        self._layout = layout
+        self._heap = heap
+        self._first_touch_homes: dict[int, int] = {}
+
+    def home_of(self, addr: int) -> int:
+        """Home node of a block, honouring the page-placement policy."""
+        if self._first_touch:
+            page = self._layout.page_of(addr)
+            home = self._first_touch_homes.get(page)
+            if home is not None:
+                return home
+        return self._heap.home_of(addr)
+
+    def record_first_touch(self, addr: int, node_id: int) -> None:
+        if not self._first_touch:
+            return
+        page = self._layout.page_of(addr)
+        self._first_touch_homes.setdefault(page, node_id)
+
+
 class DirNNBMachine(MachineBase):
     """N nodes with hardware caches and full-map directories."""
 
@@ -59,27 +89,18 @@ class DirNNBMachine(MachineBase):
         super().__init__(config)
         #: One authoritative data image; see the module docstring.
         self.shared_image = MemoryImage(self.layout)
+        self.placement = HomePlacement(
+            config.page_placement, self.layout, self.heap
+        )
         self.nodes: list[DirNNBNode] = [
             DirNNBNode(node_id, self) for node_id in range(config.nodes)
         ]
-        self._first_touch_homes: dict[int, int] = {}
         self._maybe_auto_conformance()
 
     # ------------------------------------------------------------------
     def home_of(self, addr: int) -> int:
         """Home node of a block, honouring the page-placement policy."""
-        if self.config.page_placement == "first_touch":
-            page = self.layout.page_of(addr)
-            home = self._first_touch_homes.get(page)
-            if home is not None:
-                return home
-        return self.heap.home_of(addr)
-
-    def record_first_touch(self, addr: int, node_id: int) -> None:
-        if self.config.page_placement != "first_touch":
-            return
-        page = self.layout.page_of(addr)
-        self._first_touch_homes.setdefault(page, node_id)
+        return self.placement.home_of(addr)
 
 
 class DirectoryController:
@@ -91,15 +112,18 @@ class DirectoryController:
     """
 
     def __init__(self, node: "DirNNBNode"):
-        self.node = node
-        self.machine: DirNNBMachine = node.machine
+        # Weak: the node owns its controller.
+        self.node = weakref.proxy(node)
         self.engine = node.engine
-        self.costs = node.machine.config.dirnnb
-        self.stats = node.machine.stats
+        self.costs = node.config.dirnnb
+        self.stats = node.stats
+        self._node_id = node.node_id
+        self._probes = node._probes
+        self._interconnect = node._interconnect
         self._prefix = f"node{node.node_id}.dir"
         # Hot-path stat keys and the raw counter dict, precomputed so a
         # directory op does no string formatting or method dispatch.
-        self._counters = node.machine.stats._counters
+        self._counters = node.stats._counters
         self._occupancy_key = f"{self._prefix}.occupancy_cycles"
         self._ops_key = f"{self._prefix}.ops"
         self._replays_key = f"{self._prefix}.replays"
@@ -117,9 +141,9 @@ class DirectoryController:
         entry = self._entries.get(block)
         if entry is None:
             entry = self._entries[block] = HardwareDirectoryEntry()
-            monitor = self.machine.conformance
+            monitor = self._probes.conformance
             if monitor is not None:
-                monitor.watch_entry(self.node.node_id, block, entry)
+                monitor.watch_entry(self._node_id, block, entry)
         return entry
 
     def entries(self) -> dict[int, HardwareDirectoryEntry]:
@@ -143,9 +167,9 @@ class DirectoryController:
         self._block_received = False
         self._block_sent = False
         self._handle(message)
-        monitor = self.machine.conformance
+        monitor = self._probes.conformance
         if monitor is not None:
-            monitor.after_handler(self.node.node_id, message)
+            monitor.after_handler(self._node_id, message)
         if (
             message.handler == "dir.get"
             and message.payload.get("local")
@@ -171,10 +195,12 @@ class DirectoryController:
         )
 
     def _emit(self, messages: list[Message], grants: list[tuple[int, dict]]) -> None:
+        send = self._interconnect.send
         for message in messages:
-            self.machine.interconnect.send(message)
-        for node_id, grant in grants:
-            self.machine.nodes[node_id].deliver_grant(grant)
+            send(message)
+        # Grants are only ever for this home's own CPU (see _grant).
+        for _node_id, grant in grants:
+            self.node.deliver_grant(grant)
         self._busy = False
         self._pump()
 
@@ -185,7 +211,7 @@ class DirectoryController:
               size_words: int, **payload: Any) -> None:
         self._out_messages.append(
             Message(
-                src=self.node.node_id,
+                src=self._node_id,
                 dst=dst,
                 handler=handler,
                 vnet=vnet,
@@ -198,7 +224,7 @@ class DirectoryController:
                requester: int, rw: bool) -> None:
         """Give ``requester`` the block; locally or via a data message."""
         grant = {"addr": block, "rw": rw}
-        if requester == self.node.node_id:
+        if requester == self._node_id:
             self._out_grants.append((requester, grant))
         else:
             self._block_sent = True
@@ -248,7 +274,7 @@ class DirectoryController:
 
     def handle_request(self, block: int, requester: int,
                        want_write: bool) -> None:
-        monitor = self.machine.conformance
+        monitor = self._probes.conformance
         if monitor is not None:
             monitor.note_request(block, requester)
         entry = self.entry(block)
@@ -265,7 +291,7 @@ class DirectoryController:
                 entry.state = DirectoryState.PENDING_WRITEBACK
                 self._send(
                     entry.owner, "dir.wb", VirtualNetwork.REQUEST,
-                    REQUEST_WORDS, addr=block, home=self.node.node_id,
+                    REQUEST_WORDS, addr=block, home=self._node_id,
                     demote="ro",
                 )
                 return
@@ -289,7 +315,7 @@ class DirectoryController:
             entry.state = DirectoryState.PENDING_WRITEBACK
             self._send(
                 entry.owner, "dir.wb", VirtualNetwork.REQUEST,
-                REQUEST_WORDS, addr=block, home=self.node.node_id,
+                REQUEST_WORDS, addr=block, home=self._node_id,
                 demote="inv",
             )
             return
@@ -302,7 +328,7 @@ class DirectoryController:
                 self.stats.incr(f"{self._prefix}.invalidations")
                 self._send(
                     sharer, "dir.inval", VirtualNetwork.REQUEST,
-                    REQUEST_WORDS, addr=block, home=self.node.node_id,
+                    REQUEST_WORDS, addr=block, home=self._node_id,
                 )
             return
         self._finish_write(block, entry, requester)
@@ -372,7 +398,8 @@ class DirNNBNode:
 
     def __init__(self, node_id: int, machine: DirNNBMachine):
         self.node_id = node_id
-        self.machine = machine
+        # Weak: the machine owns this node (see repro.machine).
+        self.machine = weakref.proxy(machine)
         self.engine = machine.engine
         self.stats = machine.stats
         self.config = machine.config
@@ -385,6 +412,9 @@ class DirNNBNode:
             name=f"{self._prefix}.cache",
         )
         self.cpu_tlb = Tlb(machine.config.tlb, name=f"{self._prefix}.tlb")
+        self._probes = machine.probes
+        self._interconnect = machine.interconnect
+        self._placement = machine.placement
         self.directory = DirectoryController(self)
         self._miss_grant: Future | None = None
         # Hot-path stat keys, precomputed so the per-reference path does
@@ -470,7 +500,7 @@ class DirNNBNode:
         )
 
     def _send_ack(self, home: int, block: int) -> None:
-        self.machine.interconnect.send(
+        self._interconnect.send(
             Message(
                 src=self.node_id,
                 dst=home,
@@ -499,7 +529,7 @@ class DirNNBNode:
         )
 
     def _send_wb_data(self, home: int, block: int, held: bool) -> None:
-        self.machine.interconnect.send(
+        self._interconnect.send(
             Message(
                 src=self.node_id,
                 dst=home,
@@ -555,8 +585,9 @@ class DirNNBNode:
         else:
             result = value = self._image_read(addr)
         counters[self._access_cycles_key] += hit_cycles
-        if self.machine.history is not None:
-            self.machine.history.record(
+        history = self._probes.history
+        if history is not None:
+            history.record(
                 self.node_id, addr, is_write, value,
                 engine.now - hit_cycles, engine.now,
             )
@@ -582,8 +613,8 @@ class DirNNBNode:
             self._fill(block, LineState.EXCLUSIVE)
             return self._complete(addr, is_write, value, start)
 
-        self.machine.record_first_touch(addr, self.node_id)
-        home = self.machine.home_of(addr)
+        self._placement.record_first_touch(addr, self.node_id)
+        home = self._placement.home_of(addr)
 
         # Every shared miss is a directory transaction at the home — the
         # directory controller is the single serialization point, so its
@@ -603,7 +634,7 @@ class DirNNBNode:
         if self._miss_grant is not None:
             raise SimulationError(f"second outstanding miss on {self}")
         self._miss_grant = grant_future
-        self.machine.interconnect.send(
+        self._interconnect.send(
             Message(
                 src=self.node_id,
                 dst=home,
@@ -636,7 +667,7 @@ class DirNNBNode:
         if not AddressLayout.is_shared(victim_addr):
             return
         self.stats.incr(f"{self._prefix}.cache.protocol_replacements")
-        home = self.machine.home_of(victim_addr)
+        home = self._placement.home_of(victim_addr)
         if home == self.node_id:
             # Local victim: the integrated directory notes the drop within
             # the miss; Table 2 charges the 5/16-cycle replacement penalty
@@ -648,7 +679,7 @@ class DirNNBNode:
         yield (
             costs.replacement_exclusive if dirty else costs.replacement_shared
         )
-        self.machine.interconnect.send(
+        self._interconnect.send(
             Message(
                 src=self.node_id,
                 dst=home,
@@ -671,8 +702,9 @@ class DirNNBNode:
         else:
             result = value = self._image_read(addr)
         self._counters[self._access_cycles_key] += self.engine.now - start
-        if self.machine.history is not None:
-            self.machine.history.record(
+        history = self._probes.history
+        if history is not None:
+            history.record(
                 self.node_id, addr, is_write, value, start, self.engine.now
             )
         return result

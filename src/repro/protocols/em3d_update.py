@@ -31,6 +31,7 @@ update treatment.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import Any
 
 from repro.memory.allocator import SharedRegion
@@ -122,22 +123,25 @@ class Em3dUpdateProtocol(StacheProtocol):
         self._states = [_NodeUpdateState() for _ in machine.nodes]
         for node in machine.nodes:
             tempest = node.tempest
-            tempest.register_handler(
+            # Behind Stache's per-node redelivery guard, like every other
+            # handler: a duplicated em3d.data must not resume twice.
+            register = partial(self.register_guarded, tempest)
+            register(
                 self.GET_CUSTOM, self._h_get_custom,
                 costs.home_response,
             )
-            tempest.register_handler(
+            register(
                 self.DATA_CUSTOM, self._h_data_custom,
                 costs.data_arrival,
             )
-            tempest.register_handler(
+            register(
                 self.UPDATE, self._h_update, UPDATE_RECV_INSTRUCTIONS
             )
-            tempest.register_handler(
+            register(
                 self.FAULT_CUSTOM_READ, self._f_custom_read,
                 costs.miss_request,
             )
-            tempest.register_handler(
+            register(
                 self.FAULT_CUSTOM_WRITE, self._f_custom_write,
                 costs.miss_request,
             )
@@ -229,7 +233,7 @@ class Em3dUpdateProtocol(StacheProtocol):
             raise SimulationError(f"custom get for non-custom block {block:#x}")
         home_page: _CustomHomePage = page.user_word
         home_page.copies[block].add(requester)
-        costs = self._machine().costs
+        costs = self._costs
         tempest.charge(costs.block_copy)
         tempest.stats.incr("em3d.copies_granted")
         home_state = self._states[tempest.node_id]
@@ -249,7 +253,7 @@ class Em3dUpdateProtocol(StacheProtocol):
     def _h_data_custom(self, tempest: Tempest, message: Message) -> None:
         block = message.payload["addr"]
         kind = message.payload["kind"]
-        costs = self._machine().costs
+        costs = self._costs
         tempest.charge(costs.block_copy)
         tempest.import_block(block, message.payload["data"])
         tempest.set_ro(block)

@@ -36,6 +36,8 @@ enable.
 
 from __future__ import annotations
 
+import weakref
+
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -91,7 +93,9 @@ class IvyProtocol:
 
     # ------------------------------------------------------------------
     def install(self, machine: TempestPort) -> None:
-        self.machine = machine
+        # Weak: the machine owns its protocol (see repro.machine).
+        self.machine = weakref.proxy(machine)
+        self._layout = machine.layout
         for node in machine.nodes:
             tempest = node.tempest
             # Redelivery protection (see repro.network.faults): IVY's
@@ -149,7 +153,7 @@ class IvyProtocol:
     # ------------------------------------------------------------------
     def _set_page_tag(self, tempest: Tempest, page_addr: int,
                       tag: Tag) -> None:
-        for block in self._machine().layout.blocks_in_page(page_addr):
+        for block in self._layout.blocks_in_page(page_addr):
             if tag is Tag.READ_WRITE:
                 tempest.set_rw(block)
             elif tag is Tag.READ_ONLY:
@@ -178,8 +182,7 @@ class IvyProtocol:
         self._request(tempest, fault.block_addr, want_write=True)
 
     def _request(self, tempest: Tempest, addr: int, want_write: bool) -> None:
-        machine = self._machine()
-        page_addr = machine.layout.page_of(addr)
+        page_addr = self._layout.page_of(addr)
         entry = tempest.page_entry(page_addr)
         tempest.stats.incr("ivy.page_requests")
         tempest.send(
@@ -287,7 +290,7 @@ class IvyProtocol:
         )
         transfer = tempest.bulk_transfer(
             requester, page_addr, page_addr,
-            self._machine().layout.page_size,
+            self._layout.page_size,
         )
 
         def notify(_value):

@@ -39,6 +39,9 @@ owner's stale (data-less) writeback reply.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
+
 from repro.memory.allocator import SharedRegion
 from repro.memory.tags import AccessFault, Tag
 from repro.network.message import (
@@ -109,13 +112,18 @@ class StacheProtocol:
         # page migration does not carry it to the new home: post-
         # migration recalls simply lose the poisoning optimization.)
         self._req_seq: dict[tuple[int, int, int], int] = {}
+        # Per-node redelivery guards (see install / register_guarded).
+        self._guards: dict[int, DeliveryGuard] = {}
 
     # ------------------------------------------------------------------
     # Installation (what re-linking with the Stache library does)
     # ------------------------------------------------------------------
     def install(self, machine: TempestPort) -> None:
-        self.machine = machine
-        costs = machine.costs
+        # Weak: the machine owns its protocol, and every node's registry
+        # holds this protocol's handlers.  Handlers use the leaves below.
+        self.machine = weakref.proxy(machine)
+        self._costs = costs = machine.costs
+        self._layout = machine.layout
         stats = machine.stats
         for node in machine.nodes:
             tempest = node.tempest
@@ -124,13 +132,10 @@ class StacheProtocol:
             # transaction ids, so duplicated or retransmitted messages
             # dispatch at most once.  On a reliable network xid is None
             # and the guard is a single attribute check.
-            guard = DeliveryGuard(
+            self._guards[node.node_id] = DeliveryGuard(
                 stats, f"node{node.node_id}.np.duplicates_dropped"
             )
-
-            def register(name, fn, instructions,
-                         _tempest=tempest, _guard=guard):
-                _tempest.register_handler(name, _guard.wrap(fn), instructions)
+            register = partial(self.register_guarded, tempest)
 
             # Request handlers (home side).
             register(
@@ -202,6 +207,18 @@ class StacheProtocol:
             node.set_page_fault_handler(self._page_fault)
             self._pending_fault[node.node_id] = None
         self._migrations = {}
+
+    def register_guarded(self, tempest: Tempest, name: str, fn,
+                         instructions: int) -> None:
+        """Register a handler behind this node's redelivery guard.
+
+        Every message handler of the protocol family goes through here,
+        so a duplicated or retransmitted message runs at most once and
+        is counted in ``nodeN.np.duplicates_dropped``.  Extensions that
+        add handlers (em3d-update) register them the same way.
+        """
+        guard = self._guards[tempest.node_id]
+        tempest.register_handler(name, guard.wrap(fn), instructions)
 
     def setup_region(self, region: SharedRegion) -> None:
         """Create the home pages for a fresh shared allocation.
@@ -311,7 +328,7 @@ class StacheProtocol:
     def _handle_request(self, tempest: Tempest, block: int, requester: int,
                         want_write: bool, fetch_seq: int | None = None) -> None:
         """The directory state machine, run atomically at the home."""
-        page_addr = self._machine().layout.page_of(block)
+        page_addr = self._layout.page_of(block)
         forward = self._migrated_pages.get(page_addr)
         if forward is not None and forward != tempest.node_id:
             # This page's home moved; bounce the request to the new home
@@ -340,7 +357,7 @@ class StacheProtocol:
     def _start_request(self, tempest: Tempest, block: int,
                        entry: SoftwareDirectoryEntry, requester: int,
                        want_write: bool) -> None:
-        costs = self._machine().costs
+        costs = self._costs
         if not want_write:
             if entry.state is DirectoryState.EXCLUSIVE:
                 # Demote the owner to ReadOnly and wait for its data.
@@ -428,7 +445,7 @@ class StacheProtocol:
     def _grant(self, tempest: Tempest, block: int,
                entry: SoftwareDirectoryEntry, requester: int, rw: bool) -> None:
         """Deliver the block (or the local tag upgrade) to the requester."""
-        costs = self._machine().costs
+        costs = self._costs
         if requester == tempest.node_id:
             # Home's own fault: upgrade the home tag and restart the CPU.
             if rw:
@@ -460,7 +477,7 @@ class StacheProtocol:
             return
         requester, want_write = entry.pending.popleft()
         # A second directory pass costs another occupancy slice.
-        tempest.charge(self._machine().costs.home_response)
+        tempest.charge(self._costs.home_response)
         self._start_request(tempest, block, entry, requester, want_write)
 
     # ------------------------------------------------------------------
@@ -521,7 +538,7 @@ class StacheProtocol:
         data = None
         wrote = False
         if holds:
-            costs = self._machine().costs
+            costs = self._costs
             tempest.charge(costs.block_copy)
             data = tempest.export_block(block)
             wrote = tempest.was_written(block)
@@ -573,7 +590,7 @@ class StacheProtocol:
             raise SimulationError(
                 f"unexpected writeback data for {block:#x} in {entry.state}"
             )
-        costs = self._machine().costs
+        costs = self._costs
         if message.payload["data"] is not None:
             tempest.charge(costs.block_copy)
             tempest.import_block(block, message.payload["data"])
@@ -630,7 +647,7 @@ class StacheProtocol:
         """A replaced stache page sent a modified block home."""
         block = message.payload["addr"]
         entry = self._dir_entry(tempest, block)
-        costs = self._machine().costs
+        costs = self._costs
         tempest.charge(costs.block_copy)
         tempest.import_block(block, message.payload["data"])
         tempest.stats.incr("stache.replacement_writebacks")
@@ -683,7 +700,7 @@ class StacheProtocol:
                     fetch_seq=self._next_fetch_seq(tempest.node_id, block),
                 )
                 return
-        costs = self._machine().costs
+        costs = self._costs
         tempest.charge(costs.block_copy)
         tempest.import_block(block, message.payload["data"])
         if message.payload["rw"]:
@@ -813,7 +830,7 @@ class StacheProtocol:
         sharer = message.payload["sharer"]
         data = message.payload["data"]
         entry = self._dir_entry(tempest, block)
-        costs = self._machine().costs
+        costs = self._costs
         if data is not None:
             tempest.charge(costs.block_copy)
             tempest.import_block(block, data)

@@ -16,6 +16,7 @@ implements the plain contiguous case protocols and applications need.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from repro.network.message import Message, VirtualNetwork
 from repro.sim.process import Future
@@ -39,7 +40,9 @@ class BulkTransferEngine:
     DONE_HANDLER = "__bulk.done"
 
     def __init__(self, backend):
-        self.backend = backend
+        # Weak: the backend's handler registry holds this engine's
+        # handlers, so a strong pointer back would close a loop.
+        self.backend = weakref.proxy(backend)
         self._pending: dict[int, Future] = {}      # transfers we initiated
         self._incoming: dict[int, dict] = {}       # transfers arriving here
         # Like the protocol handlers, the bulk handlers are not

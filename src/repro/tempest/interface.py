@@ -13,6 +13,7 @@ transfer, and VM management, is here.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.memory.address import AddressLayout
@@ -64,7 +65,10 @@ class Tempest:
     def __init__(self, backend: TempestBackend):
         from repro.tempest.bulk import BulkTransferEngine
 
-        self._backend = backend
+        # Weak: the backend (node) owns its Tempest, and the NP that runs
+        # handlers holds the Tempest strongly, so a strong pointer back
+        # would close a loop.  Valid only while the machine lives.
+        self._backend = weakref.proxy(backend)
         # Identity handles, bound once: these backend attributes are fixed
         # for the machine's lifetime, and protocol handlers read them on
         # every dispatch, so plain attributes beat properties.
@@ -75,7 +79,10 @@ class Tempest:
         self.stats: Stats = backend.stats
         self.image: MemoryImage = backend.image
         self._tags = backend.tags
-        self._send_message = backend.send_message
+        self._thread = backend.thread
+        self._page_table = backend.page_table
+        self._heap = backend.heap
+        self._written_blocks = backend.written_blocks
         # Eager: every node must have the bulk receive handlers installed
         # before any peer can target it with a transfer.
         self._bulk_engine = BulkTransferEngine(backend)
@@ -101,7 +108,7 @@ class Tempest:
         **payload: Any,
     ) -> None:
         """Send an active message; the handler runs on ``dst``'s NP."""
-        self._send_message(
+        self._backend.send_message(
             Message(
                 src=self.node_id,
                 dst=dst,
@@ -126,37 +133,37 @@ class Tempest:
     def map_page(self, vaddr: int, mode: int, home: int, initial_tag: Tag,
                  user_word: Any = None) -> PageEntry:
         """Allocate physical memory and map it at ``vaddr`` (page aligned)."""
-        return self._backend.page_table.map_page(
+        return self._page_table.map_page(
             vaddr, mode=mode, home=home, initial_tag=initial_tag,
             user_word=user_word,
         )
 
     def unmap_page(self, vaddr: int) -> PageEntry:
-        entry = self._backend.page_table.unmap_page(vaddr)
+        entry = self._page_table.unmap_page(vaddr)
         self._backend.shoot_down_page(vaddr)
         return entry
 
     def remap_page(self, old_vaddr: int, new_vaddr: int,
                    initial_tag: Tag) -> PageEntry:
-        entry = self._backend.page_table.remap_page(old_vaddr, new_vaddr,
-                                                    initial_tag)
+        entry = self._page_table.remap_page(old_vaddr, new_vaddr,
+                                            initial_tag)
         # The translation hardware must not keep serving the old page:
         # shoot the entry out of the CPU TLB and the NP's reverse TLB.
         self._backend.shoot_down_page(old_vaddr)
         return entry
 
     def page_entry(self, vaddr: int) -> PageEntry | None:
-        return self._backend.page_table.lookup(vaddr)
+        return self._page_table.lookup(vaddr)
 
     def oldest_page_with_mode(self, mode: int) -> PageEntry | None:
-        return self._backend.page_table.oldest_page_with_mode(mode)
+        return self._page_table.oldest_page_with_mode(mode)
 
     def pages_with_mode(self, mode: int) -> list[PageEntry]:
-        return self._backend.page_table.pages_with_mode(mode)
+        return self._page_table.pages_with_mode(mode)
 
     def home_of(self, addr: int) -> int:
         """Consult the distributed page-home mapping table."""
-        return self._backend.heap.home_of(addr)
+        return self._heap.home_of(addr)
 
     # ------------------------------------------------------------------
     # Mechanism 4: fine-grain access control (Section 2.4 / Table 1)
@@ -202,16 +209,15 @@ class Tempest:
         The M-vs-E distinction of an ownership bus, exposed to protocol
         handlers (migratory-detection probes use it).
         """
-        block = self._backend.layout.block_of(addr)
-        return block in self._backend.written_blocks
+        return self.layout.block_of(addr) in self._written_blocks
 
     def resume(self, value: Any = None) -> None:
         """Table 1 ``resume``: restart this node's suspended thread."""
-        self._backend.thread.resume(value)
+        self._thread.resume(value)
 
     @property
     def thread_suspended(self) -> bool:
-        return self._backend.thread.suspended
+        return self._thread.suspended
 
     # ------------------------------------------------------------------
     # Handler-side cost accounting

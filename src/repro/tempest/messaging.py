@@ -30,6 +30,7 @@ This module also hosts the machinery that makes messaging survive an
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
@@ -112,7 +113,9 @@ class ReliableTransport:
     def __init__(self, engine: Engine, interconnect: "Interconnect",
                  spec: "FaultSpec", stats: "Stats"):
         self.engine = engine
-        self.interconnect = interconnect
+        # Weak: the interconnect holds this transport (retransmits are
+        # the only use).
+        self.interconnect = weakref.proxy(interconnect)
         self.spec = spec
         self.stats = stats
         #: Transaction id -> message awaiting receipt.

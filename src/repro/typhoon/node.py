@@ -22,6 +22,7 @@ computation thread runs the protocol's user-level page-fault handler
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.memory.address import SHARED_BASE, AddressLayout
@@ -49,7 +50,8 @@ class TyphoonNode:
 
     def __init__(self, node_id: int, machine: "TyphoonMachine"):
         self.node_id = node_id
-        self.machine = machine
+        # Weak: the machine owns this node (see repro.machine).
+        self.machine = weakref.proxy(machine)
         self.engine = machine.engine
         self.stats = machine.stats
         self.config = machine.config
@@ -68,8 +70,15 @@ class TyphoonNode:
         self.cpu_tlb = Tlb(machine.config.tlb, name=f"{self._prefix}.tlb")
         self.thread = ComputationThread(self.engine, node_id)
         self.registry = HandlerRegistry(node_id)
-        self.np = NetworkProcessor(self, machine.config.typhoon)
+        #: Blocks written since this node last gained them (the M-vs-E
+        #: distinction an ownership bus provides); cleared on downgrade
+        #: or invalidation.  Custom protocols use it (e.g. migratory
+        #: detection probes).
+        self.written_blocks: set[int] = set()
+        self._probes = machine.probes
+        self._costs = machine.costs
         self.tempest = Tempest(self)
+        self.np = NetworkProcessor(self, machine.config.typhoon)
         self.page_fault_handler: PageFaultHandler | None = None
         # Hot-path stat keys, precomputed so the per-reference path does
         # no string formatting.
@@ -93,11 +102,6 @@ class TyphoonNode:
         self._counters = machine.stats._counters
         self._image_read = self.image.read
         self._image_write = self.image.write
-        #: Blocks written since this node last gained them (the M-vs-E
-        #: distinction an ownership bus provides); cleared on downgrade
-        #: or invalidation.  Custom protocols use it (e.g. migratory
-        #: detection probes).
-        self.written_blocks: set[int] = set()
 
         machine.interconnect.attach(node_id, self.np.enqueue_message)
 
@@ -106,7 +110,7 @@ class TyphoonNode:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self.machine.num_nodes
+        return self.config.nodes
 
     def send_message(self, message: Message) -> None:
         self._counters[self._messages_sent_key] += 1
@@ -193,8 +197,9 @@ class TyphoonNode:
         else:
             result = value = self._image_read(addr)
         counters[self._access_cycles_key] += hit_cycles
-        if self.machine.history is not None:
-            self.machine.history.record(
+        history = self._probes.history
+        if history is not None:
+            history.record(
                 self.node_id, addr, is_write, value,
                 engine.now - hit_cycles, engine.now,
             )
@@ -259,8 +264,9 @@ class TyphoonNode:
         else:
             result = value = self._image_read(addr)
         self._counters[self._access_cycles_key] += self.engine.now - start
-        if self.machine.history is not None:
-            self.machine.history.record(
+        history = self._probes.history
+        if history is not None:
+            history.record(
                 self.node_id, addr, is_write, value, start, self.engine.now
             )
         return result
@@ -273,7 +279,7 @@ class TyphoonNode:
                 "with no user-level handler installed"
             )
         # The user-level page fault handler runs on the primary CPU.
-        yield self.machine.costs.page_fault
+        yield self._costs.page_fault
         extra = self.page_fault_handler(self.tempest, addr, is_write)
         if extra:
             yield extra

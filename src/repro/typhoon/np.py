@@ -41,7 +41,8 @@ class NetworkProcessor:
     """One node's NP: queues, dispatch loop, and cost accounting."""
 
     def __init__(self, node: "TyphoonNode", costs: TyphoonCosts):
-        self.node = node
+        # The node owns its NP, so the NP keeps no pointer back to it:
+        # everything it needs is a leaf handle taken here.
         self.costs = costs
         self.engine = node.engine
         self.stats = node.stats
@@ -57,6 +58,11 @@ class NetworkProcessor:
         # per-message path skips two method calls.
         self._counters = node.stats._counters
         self._handlers = node.registry._handlers
+        self._registry = node.registry
+        self._page_table = node.page_table
+        self._tempest = node.tempest
+        self._probes = node._probes
+        self._interconnect = node.machine.interconnect
 
         self._response_queue: deque[Message] = deque()
         self._request_queue: deque[Message] = deque()
@@ -113,7 +119,7 @@ class NetworkProcessor:
         message.nacked = True
         self.stats.incr(f"{self._prefix}.nacks_sent")
         self.stats.incr("tempest.nacks_sent")
-        self.node.machine.interconnect.send(Message(
+        self._interconnect.send(Message(
             src=self._node_id, dst=message.src, handler=NACK_HANDLER,
             vnet=VirtualNetwork.RESPONSE, size_words=2,
             payload={"xid": message.xid},
@@ -149,7 +155,7 @@ class NetworkProcessor:
 
     def _launch(self, message: Message) -> None:
         message.on_delivered = self._on_delivered
-        self.node.machine.interconnect.send(message)
+        self._interconnect.send(message)
 
     def _on_delivered(self, message: Message) -> None:
         """Credit return: queue space freed; drain the overflow buffer."""
@@ -191,7 +197,7 @@ class NetworkProcessor:
     def enqueue_fault(self, fault: AccessFault) -> None:
         """BAF-buffer arrival (the bus monitor captured a faulting access)."""
         self._counters[self._block_faults_key] += 1
-        for observer in getattr(self.node.machine, "fault_observers", ()):
+        for observer in self._probes.fault_observers:
             observer(fault)
         self._present_fault(fault)
 
@@ -245,7 +251,7 @@ class NetworkProcessor:
     def _start_message(self, message: Message) -> None:
         spec = self._handlers.get(message.handler)
         if spec is None:
-            spec = self.node.registry.lookup(message.handler)  # raises
+            spec = self._registry.lookup(message.handler)  # raises
         cost = spec.instructions * self.costs.cycles_per_instruction
         # Handlers that touch a block's memory go through the NP TLB.
         addr = message.payload.get("addr")
@@ -256,19 +262,19 @@ class NetworkProcessor:
         self._begin(cost, spec.fn, message)
 
     def _start_fault(self, fault: AccessFault) -> None:
-        entry = self.node.page_table.lookup(fault.addr)
+        entry = self._page_table.lookup(fault.addr)
         if entry is None:
             raise DispatchError(
                 f"BAF for unmapped page {fault.addr:#x} on node "
-                f"{self.node.node_id}"
+                f"{self._node_id}"
             )
         handler_name = self._fault_dispatch.get((entry.mode, fault.is_write))
         if handler_name is None:
             raise DispatchError(
                 f"no fault handler for mode={entry.mode} "
-                f"is_write={fault.is_write} on node {self.node.node_id}"
+                f"is_write={fault.is_write} on node {self._node_id}"
             )
-        spec = self.node.registry.lookup(handler_name)
+        spec = self._registry.lookup(handler_name)
         cost = (
             self.costs.baf_dispatch_cycles
             + spec.instructions * self.costs.cycles_per_instruction
@@ -283,8 +289,8 @@ class NetworkProcessor:
 
     def _execute(self, fn, argument) -> None:
         self._extra_charge = 0
-        fn(self.node.tempest, argument)
-        monitor = self.node.machine.conformance
+        fn(self._tempest, argument)
+        monitor = self._probes.conformance
         if monitor is not None:
             monitor.after_handler(self._node_id, argument)
         extra = self._extra_charge
@@ -324,4 +330,4 @@ class NetworkProcessor:
 
     def __repr__(self) -> str:
         state = "busy" if self._busy else "idle"
-        return f"NetworkProcessor(node={self.node.node_id}, {state}, queued={self.queued_work})"
+        return f"NetworkProcessor(node={self._node_id}, {state}, queued={self.queued_work})"

@@ -11,16 +11,23 @@ the Typhoon and Blizzard backends must show
 * the retry/NACK counter family visible in ``Stats``.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.em3d import VALUE_OFFSET
+from repro.backends import all_systems, compose, parse_system
 from repro.blizzard.system import BlizzardMachine
 from repro.decoupled.system import DecoupledMachine
-from repro.network.faults import FaultPlan, FaultSpec
+from repro.harness.runner import run_application
+from repro.harness.workloads import workload
+from repro.network.faults import RELIABILITY_LADDER, FaultPlan, FaultSpec
 from repro.protocols.history import AccessHistory, check_register_consistency
 from repro.protocols.stache import StacheProtocol
 from repro.sim.config import MachineConfig
+from repro.tempest.messaging import DeliveryGuard
 from tests.protocols.conftest import make_stache_machine, run_script
 
 NODES = 4
@@ -192,3 +199,44 @@ def test_faulted_runs_are_reproducible_per_seed():
     assert stats_a == stats_b
     time_c, stats_c = outcome(6)
     assert (time_c, stats_c) != (time_a, stats_a)  # seed changes schedule
+
+
+@pytest.mark.parametrize("spec", RELIABILITY_LADDER, ids=lambda s: s.name)
+@pytest.mark.parametrize("system",
+                         ["typhoon:em3d-update", "decoupled:em3d-update"])
+def test_em3d_update_climbs_the_reliability_ladder(system, spec):
+    """A duplicated em3d.data must not resume the thread twice."""
+    app = workload("em3d", "small").build()
+    outcome = run_application(system, app, MachineConfig(nodes=NODES, seed=1),
+                              faults=spec)
+    machine = outcome["machine"]
+    if machine.transport is not None:
+        assert not machine.transport.pending, "permanently lost transactions"
+    ref_e, _ = app.reference_values()
+    for index in range(app.e_nodes.count):
+        got = app.peek(machine, app.e_nodes.addr(index, VALUE_OFFSET))
+        assert math.isclose(got, ref_e[index], rel_tol=1e-9, abs_tol=1e-9)
+    if spec.dup_pct:
+        assert machine.stats.total(".np.duplicates_dropped") > 0
+
+
+#: The code object every DeliveryGuard.wrap result shares.
+GUARDED_CODE = DeliveryGuard().wrap(lambda tempest, message: None).__code__
+
+
+#: Systems whose protocol is user-level, i.e. dispatched from a registry.
+REGISTRY_SYSTEMS = [system for system in all_systems()
+                    if parse_system(system)[1] is not None]
+
+
+@pytest.mark.parametrize("system", REGISTRY_SYSTEMS)
+def test_every_registered_handler_is_guarded(system):
+    """Redelivery protection covers every handler of every protocol."""
+    machine, _protocol = compose(system, MachineConfig(nodes=2))
+    unguarded = sorted(
+        f"node{node.node_id}:{name}"
+        for node in machine.nodes
+        for name in node.registry.names()
+        if node.registry.lookup(name).fn.__code__ is not GUARDED_CODE
+    )
+    assert unguarded == []
