@@ -298,8 +298,8 @@ class BlizzardNode:
         if shared and (addr & self._page_mask) not in self._pt_entries:
             return None
         block = addr & self._block_mask
-        line = self.cache.lookup(block)
-        if line is None or (is_write and line.state is LineState.SHARED):
+        state = self.cache.lookup(block)
+        if state is None or (is_write and state is LineState.SHARED):
             return None
         # Commit: identical effects to the generator path's hit branch.
         # The probes above cannot schedule events, so the window check

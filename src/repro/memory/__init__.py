@@ -9,7 +9,7 @@ implements Stache's "distributed mapping table" of page homes.
 
 from repro.memory.address import AddressLayout, AddressSpaceError
 from repro.memory.allocator import GlobalHeap, SharedRegion
-from repro.memory.cache import Cache, CacheLine, LineState
+from repro.memory.cache import Cache, LineState
 from repro.memory.data import MemoryImage
 from repro.memory.page_table import PageEntry, PageTable, PageTableError
 from repro.memory.tags import AccessFault, Tag, TagStore
@@ -20,7 +20,6 @@ __all__ = [
     "AddressLayout",
     "AddressSpaceError",
     "Cache",
-    "CacheLine",
     "GlobalHeap",
     "LineState",
     "MemoryImage",

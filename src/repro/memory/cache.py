@@ -12,6 +12,10 @@ States model an ownership-based coherent bus (MBus-like):
 * ``EXCLUSIVE`` — owned, dirty-able, read and write hits;
 * lines are simply absent when invalid.
 
+Each set is a ``dict`` mapping a resident block address to its
+:class:`LineState`; there is no per-line object.  The dict's insertion
+order is the replacement FIFO order: a fill appends, an in-place state
+change (an upgrade re-insert or a downgrade) keeps the line's position.
 Replacement victim selection is deterministic given the machine seed
 (random replacement per Table 2, drawn from a named RNG stream).
 """
@@ -19,7 +23,6 @@ Replacement victim selection is deterministic given the machine seed
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from random import Random
 
 from repro.sim.config import CacheConfig
@@ -30,15 +33,6 @@ class LineState(enum.Enum):
     EXCLUSIVE = "exclusive"
 
 
-@dataclass
-class CacheLine:
-    """One resident block."""
-
-    block_addr: int
-    state: LineState
-    fifo_order: int = 0
-
-
 class Cache:
     """Tag/state array for one set-associative cache."""
 
@@ -47,12 +41,11 @@ class Cache:
         self.config = config
         self.name = name
         self._rng = rng
-        self._sets: list[dict[int, CacheLine]] = [
+        self._sets: list[dict[int, LineState]] = [
             {} for _ in range(config.num_sets)
         ]
         self._set_mask = config.num_sets - 1
         self._block_shift = config.block_size.bit_length() - 1
-        self._insert_counter = 0
         # Counters maintained locally; the node model publishes them.
         self.hits = 0
         self.misses = 0
@@ -63,14 +56,14 @@ class Cache:
     def _set_index(self, block_addr: int) -> int:
         return (block_addr >> self._block_shift) & self._set_mask
 
-    def _set_for(self, block_addr: int) -> dict[int, CacheLine]:
+    def _set_for(self, block_addr: int) -> dict[int, LineState]:
         return self._sets[self._set_index(block_addr)]
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def lookup(self, block_addr: int) -> CacheLine | None:
-        """Return the resident line for ``block_addr`` or None."""
+    def lookup(self, block_addr: int) -> LineState | None:
+        """Return the state of resident ``block_addr``, or None if absent."""
         # _set_for inlined: this runs once or twice per CPU reference.
         return self._sets[
             (block_addr >> self._block_shift) & self._set_mask
@@ -83,11 +76,11 @@ class Cache:
         a SHARED line is a miss (an upgrade): the caller must obtain
         ownership through the protocol.
         """
-        line = self.lookup(block_addr)
-        if line is None:
+        state = self.lookup(block_addr)
+        if state is None:
             self.misses += 1
             return False
-        if is_write and line.state is LineState.SHARED:
+        if is_write and state is LineState.SHARED:
             self.upgrades += 1
             self.misses += 1
             return False
@@ -100,51 +93,40 @@ class Cache:
     # ------------------------------------------------------------------
     # Fill / invalidate
     # ------------------------------------------------------------------
-    def insert(self, block_addr: int, state: LineState) -> CacheLine | None:
-        """Install a block; returns the victim line if one was evicted.
+    def insert(self, block_addr: int,
+               state: LineState) -> tuple[int, LineState] | None:
+        """Install a block; returns ``(block_addr, state)`` of the victim
+        if one was evicted.
 
         If the block is already resident its state is updated in place
-        (e.g. SHARED -> EXCLUSIVE on an upgrade fill) and no victim is
-        produced.
+        (e.g. SHARED -> EXCLUSIVE on an upgrade fill), keeping its FIFO
+        position, and no victim is produced.
         """
         cache_set = self._set_for(block_addr)
-        existing = cache_set.get(block_addr)
-        if existing is not None:
-            existing.state = state
+        if block_addr in cache_set:
+            cache_set[block_addr] = state
             return None
         victim = None
         if len(cache_set) >= self.config.associativity:
-            victim = self._choose_victim(cache_set)
-            del cache_set[victim.block_addr]
+            if self.config.replacement == "random":
+                victim_addr = self._rng.choice(list(cache_set))
+            else:  # "fifo": the oldest insertion is first in the dict
+                victim_addr = next(iter(cache_set))
+            victim = (victim_addr, cache_set.pop(victim_addr))
             self.replacements += 1
-        self._insert_counter += 1
-        cache_set[block_addr] = CacheLine(
-            block_addr, state, fifo_order=self._insert_counter
-        )
+        cache_set[block_addr] = state
         return victim
 
-    def _choose_victim(self, cache_set: dict[int, CacheLine]) -> CacheLine:
-        lines = list(cache_set.values())
-        policy = self.config.replacement
-        if policy == "random":
-            return self._rng.choice(lines)
-        if policy == "fifo":
-            return min(lines, key=lambda line: line.fifo_order)
-        # "lru" degenerates to fifo-order here because access recency is
-        # not tracked; Table 2's CPU cache is random anyway.
-        return min(lines, key=lambda line: line.fifo_order)
-
-    def invalidate(self, block_addr: int) -> CacheLine | None:
-        """Drop a block (coherence invalidation); returns the line if present."""
-        cache_set = self._set_for(block_addr)
-        return cache_set.pop(block_addr, None)
+    def invalidate(self, block_addr: int) -> LineState | None:
+        """Drop a block (coherence invalidation); returns its state if present."""
+        return self._set_for(block_addr).pop(block_addr, None)
 
     def downgrade(self, block_addr: int) -> bool:
         """EXCLUSIVE -> SHARED (remote read of an owned block)."""
-        line = self.lookup(block_addr)
-        if line is None:
+        cache_set = self._set_for(block_addr)
+        if block_addr not in cache_set:
             return False
-        line.state = LineState.SHARED
+        cache_set[block_addr] = LineState.SHARED
         return True
 
     # ------------------------------------------------------------------

@@ -19,7 +19,6 @@ Two encodings:
 from __future__ import annotations
 
 import enum
-from collections import deque
 
 
 class DirectoryState(enum.Enum):
@@ -72,8 +71,9 @@ class HardwareDirectoryEntry(_ObservedState):
         self._observer = None
         self.owner: int | None = None
         self.sharers: set[int] = set()
-        #: Requests that arrived while the entry was transient.
-        self.pending: deque = deque()
+        #: Requests that arrived while the entry was transient: a few at
+        #: most, so a list (an empty deque would cost ~700 bytes a block).
+        self.pending: list[tuple[int, bool]] = []
         self.acks_outstanding = 0
 
     def __repr__(self) -> str:
@@ -107,7 +107,7 @@ class SoftwareDirectoryEntry(_ObservedState):
         self._state = DirectoryState.HOME
         self._observer = None
         self.owner: int | None = None
-        self.pending: deque = deque()
+        self.pending: list[tuple[int, bool]] = []
         self.acks_outstanding = 0
         self._pointers: list[int] = []
         self._bitvector: int | None = None

@@ -241,7 +241,7 @@ class DirectoryController:
                           entry: HardwareDirectoryEntry) -> None:
         if entry.state.is_transient or not entry.pending:
             return
-        requester, want_write = entry.pending.popleft()
+        requester, want_write = entry.pending.pop(0)
         # Each replayed request is another directory op's worth of work.
         self._counters[self._replays_key] += 1
         self._start_request(block, entry, requester, want_write)
@@ -287,7 +287,7 @@ class DirectoryController:
                        requester: int, want_write: bool) -> None:
         if not want_write:
             if entry.state is DirectoryState.EXCLUSIVE:
-                entry.pending.appendleft((requester, want_write))
+                entry.pending.insert(0, (requester, want_write))
                 entry.state = DirectoryState.PENDING_WRITEBACK
                 self._send(
                     entry.owner, "dir.wb", VirtualNetwork.REQUEST,
@@ -311,7 +311,7 @@ class DirectoryController:
             if entry.owner == requester:
                 self._grant(block, entry, requester, rw=True)
                 return
-            entry.pending.appendleft((requester, want_write))
+            entry.pending.insert(0, (requester, want_write))
             entry.state = DirectoryState.PENDING_WRITEBACK
             self._send(
                 entry.owner, "dir.wb", VirtualNetwork.REQUEST,
@@ -321,7 +321,7 @@ class DirectoryController:
             return
         targets = entry.sharers - {requester}
         if targets:
-            entry.pending.appendleft((requester, want_write))
+            entry.pending.insert(0, (requester, want_write))
             entry.state = DirectoryState.PENDING_INVALIDATE
             entry.acks_outstanding = len(targets)
             for sharer in sorted(targets):
@@ -351,7 +351,7 @@ class DirectoryController:
             return
         if entry.state is not DirectoryState.PENDING_INVALIDATE:
             raise SimulationError(f"ack completion in state {entry.state}")
-        requester, want_write = entry.pending.popleft()
+        requester, want_write = entry.pending.pop(0)
         if not want_write:
             raise SimulationError("invalidations pending for a read")
         entry.state = DirectoryState.HOME
@@ -363,7 +363,7 @@ class DirectoryController:
             raise SimulationError(
                 f"writeback data for {block:#x} in state {entry.state}"
             )
-        requester, want_write = entry.pending.popleft()
+        requester, want_write = entry.pending.pop(0)
         entry.owner = None
         if want_write:
             entry.state = DirectoryState.HOME
@@ -513,8 +513,7 @@ class DirNNBNode:
 
     def _receive_writeback_request(self, message: Message) -> None:
         block = message.payload["addr"]
-        line = self.cache.lookup(block)
-        held = line is not None and line.state is LineState.EXCLUSIVE
+        held = self.cache.lookup(block) is LineState.EXCLUSIVE
         if held:
             if message.payload["demote"] == "ro":
                 self.cache.downgrade(block)
@@ -568,8 +567,8 @@ class DirNNBNode:
             return None
         if (addr >> self._page_shift) not in self._tlb_entries:
             return None
-        line = self.cache.lookup(addr & self._block_mask)
-        if line is None or (is_write and line.state is LineState.SHARED):
+        state = self.cache.lookup(addr & self._block_mask)
+        if state is None or (is_write and state is LineState.SHARED):
             return None
         # Commit: identical effects to the generator path's hit branch.
         # The probes above cannot schedule events, so the window check
@@ -658,12 +657,12 @@ class DirNNBNode:
         return self._complete(addr, is_write, value, start)
 
     # ------------------------------------------------------------------
-    def _handle_victim(self, victim) -> Generator:
+    def _handle_victim(self, victim: tuple[int, LineState] | None) -> Generator:
         if victim is None:
             return
         costs = self.config.dirnnb
-        dirty = victim.state is LineState.EXCLUSIVE
-        victim_addr = victim.block_addr
+        victim_addr, victim_state = victim
+        dirty = victim_state is LineState.EXCLUSIVE
         if not AddressLayout.is_shared(victim_addr):
             return
         self.stats.incr(f"{self._prefix}.cache.protocol_replacements")

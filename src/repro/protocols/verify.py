@@ -130,9 +130,9 @@ def _check_dirnnb_block(machine, block: int) -> None:
     entry = machine.nodes[home_id].directory.entries().get(block)
     lines = {}
     for node in machine.nodes:
-        line = node.cache.lookup(block)
-        if line is not None:
-            lines[node.node_id] = line.state
+        state = node.cache.lookup(block)
+        if state is not None:
+            lines[node.node_id] = state
 
     owners = [n for n, s in lines.items() if s is LineState.EXCLUSIVE]
     sharers_actual = {n for n, s in lines.items() if s is LineState.SHARED}

@@ -51,7 +51,8 @@ class CacheConfig:
             raise ValueError("block size must be a power of two")
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("number of sets must be a power of two")
-        if self.replacement not in ("random", "lru", "fifo"):
+        # No LRU: the model keeps tags and states only, no access recency.
+        if self.replacement not in ("random", "fifo"):
             raise ValueError(f"unknown replacement policy {self.replacement!r}")
 
 

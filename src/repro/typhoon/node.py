@@ -175,8 +175,8 @@ class TyphoonNode:
         if (addr >> self._page_shift) not in self._tlb_entries:
             return None
         block = addr & self._block_mask
-        line = self.cache.lookup(block)
-        if line is None or (is_write and line.state is LineState.SHARED):
+        state = self.cache.lookup(block)
+        if state is None or (is_write and state is LineState.SHARED):
             return None
         shared = addr >= SHARED_BASE
         if shared and (addr & self._page_mask) not in self._pt_entries:

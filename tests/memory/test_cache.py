@@ -1,6 +1,7 @@
 """Tests for the set-associative cache model."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -57,7 +58,7 @@ def test_insert_existing_block_updates_state_without_eviction():
     cache.insert(0, LineState.SHARED)
     victim = cache.insert(0, LineState.EXCLUSIVE)
     assert victim is None
-    assert cache.lookup(0).state is LineState.EXCLUSIVE
+    assert cache.lookup(0) is LineState.EXCLUSIVE
     assert len(cache) == 1
 
 
@@ -82,10 +83,36 @@ def test_random_replacement_is_deterministic_per_seed():
         for i in range(10):
             victim = cache.insert(i * set_stride, LineState.SHARED)
             if victim:
-                victims.append(victim.block_addr)
+                victims.append(victim[0])
         return victims
 
     assert run(seed=7) == run(seed=7)
+    # Pinned: the victim sequence for seed 7 as drawn by the earlier
+    # per-line-object cache.  Any change to victim choice moves it.
+    assert run(seed=7) == [2048, 1024, 5120, 0, 3072, 4096]
+
+
+def test_random_victims_with_in_place_updates_are_pinned():
+    """Upgrades and downgrades keep a line's place in the random draw."""
+    cache = make_cache(seed=7)
+    set_stride = 32 * 32
+    victims = []
+    for i in range(12):
+        state = LineState.EXCLUSIVE if i % 3 == 0 else LineState.SHARED
+        victim = cache.insert(i * set_stride, state)
+        if victim:
+            victims.append((victim[0], victim[1].name))
+        if i % 4 == 1:
+            cache.insert(min(cache.resident_blocks()), LineState.EXCLUSIVE)
+        if i % 5 == 2:
+            cache.downgrade(max(cache.resident_blocks()))
+        if i == 7:
+            cache.invalidate(sorted(cache.resident_blocks())[1])
+    assert victims == [
+        (2048, "SHARED"), (1024, "SHARED"), (5120, "SHARED"),
+        (0, "EXCLUSIVE"), (3072, "EXCLUSIVE"), (6144, "EXCLUSIVE"),
+        (9216, "EXCLUSIVE"),
+    ]
 
 
 def test_fifo_replacement_evicts_oldest():
@@ -94,15 +121,28 @@ def test_fifo_replacement_evicts_oldest():
     for i in range(4):
         cache.insert(i * set_stride, LineState.SHARED)
     victim = cache.insert(4 * set_stride, LineState.SHARED)
-    assert victim.block_addr == 0
+    assert victim == (0, LineState.SHARED)
+
+
+def test_fifo_upgrade_reinsert_keeps_position():
+    cache = make_cache(replacement="fifo")
+    set_stride = 32 * 32
+    for i in range(4):
+        cache.insert(i * set_stride, LineState.SHARED)
+    # SHARED -> EXCLUSIVE upgrade fill of the oldest line: still oldest.
+    assert cache.insert(0, LineState.EXCLUSIVE) is None
+    assert cache.insert(4 * set_stride, LineState.SHARED) == (
+        0, LineState.EXCLUSIVE
+    )
+    assert cache.insert(5 * set_stride, LineState.SHARED) == (
+        set_stride, LineState.SHARED
+    )
 
 
 def test_invalidate_removes_line():
     cache = make_cache()
     cache.insert(0, LineState.EXCLUSIVE)
-    line = cache.invalidate(0)
-    assert line is not None
-    assert line.state is LineState.EXCLUSIVE
+    assert cache.invalidate(0) is LineState.EXCLUSIVE
     assert not cache.contains(0)
 
 
@@ -114,7 +154,7 @@ def test_downgrade():
     cache = make_cache()
     cache.insert(0, LineState.EXCLUSIVE)
     assert cache.downgrade(0) is True
-    assert cache.lookup(0).state is LineState.SHARED
+    assert cache.lookup(0) is LineState.SHARED
     assert cache.downgrade(999 * 32) is False
 
 
@@ -163,3 +203,20 @@ def test_property_hits_plus_misses_equals_accesses(ops):
             cache.insert(index * 32,
                          LineState.EXCLUSIVE if is_write else LineState.SHARED)
     assert cache.hits + cache.misses == len(ops)
+
+
+def test_resident_line_host_footprint():
+    """Host bytes per resident line stay near a dict slot, not an object."""
+    cache = make_cache(size=4096 * 32, assoc=4)  # 1024 sets, 4096 lines
+    # The block addresses are the caller's; count only the cache's growth.
+    blocks = [i * 32 for i in range(4096)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for block in blocks:
+            cache.insert(block, LineState.SHARED)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 4096
+    assert grown / 4096 < 64

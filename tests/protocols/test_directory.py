@@ -1,6 +1,8 @@
 """Tests for directory entry encodings, especially the LimitLESS-style
 software entry's representation transitions (Section 3)."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,3 +126,21 @@ def test_property_software_entry_tracks_exact_set(nodes, ops):
             reference.discard(node)
     assert entry.sharers() == reference
     assert entry.sharer_count == len(reference)
+
+
+def test_software_entry_host_footprint():
+    """Stache allocates one entry per home block: keep each one small.
+
+    The paper's entry is 64 bits; the host object cannot match that, but
+    it must not carry a per-block queue object (an empty deque alone was
+    ~700 bytes).
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        entries = [SoftwareDirectoryEntry(32) for _ in range(1000)]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 1000
+    assert grown / 1000 < 400

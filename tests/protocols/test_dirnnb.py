@@ -65,7 +65,7 @@ class TestRemoteMiss:
         assert reads[1] == [5]
         block = machine.layout.block_of(addr)
         # First reader with no other copies gets exclusive-clean (E state).
-        assert machine.nodes[1].cache.lookup(block).state is LineState.EXCLUSIVE
+        assert machine.nodes[1].cache.lookup(block) is LineState.EXCLUSIVE
         entry = machine.nodes[0].directory.entries()[block]
         assert entry.state is DirectoryState.EXCLUSIVE
         assert entry.owner == 1
@@ -85,7 +85,7 @@ class TestRemoteMiss:
         entry = machine.nodes[0].directory.entries()[block]
         assert entry.state is DirectoryState.SHARED
         assert entry.sharers == {1, 2}
-        assert machine.nodes[1].cache.lookup(block).state is LineState.SHARED
+        assert machine.nodes[1].cache.lookup(block) is LineState.SHARED
         check_dirnnb_coherence(machine, region)
 
     def test_remote_write_takes_exclusive(self, dirnnb4):
@@ -93,7 +93,7 @@ class TestRemoteMiss:
         addr = addr_homed_on(machine, region, home=0)
         run_script(machine, {1: [("w", addr, 9)]})
         block = machine.layout.block_of(addr)
-        assert machine.nodes[1].cache.lookup(block).state is LineState.EXCLUSIVE
+        assert machine.nodes[1].cache.lookup(block) is LineState.EXCLUSIVE
         entry = machine.nodes[0].directory.entries()[block]
         assert entry.state is DirectoryState.EXCLUSIVE
         assert entry.owner == 1
@@ -135,7 +135,7 @@ class TestCoherenceActions:
         entry = machine.nodes[0].directory.entries()[block]
         assert entry.state is DirectoryState.SHARED
         assert entry.sharers == {1, 2}
-        assert machine.nodes[1].cache.lookup(block).state is LineState.SHARED
+        assert machine.nodes[1].cache.lookup(block) is LineState.SHARED
         check_dirnnb_coherence(machine, region)
 
     def test_home_cached_copy_is_invalidated_by_remote_write(self, dirnnb4):

@@ -80,6 +80,11 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig(replacement="plru").validate()
 
+    def test_rejects_lru_replacement(self):
+        # The model tracks no access recency, so "lru" cannot be honoured.
+        with pytest.raises(ValueError):
+            CacheConfig(replacement="lru").validate()
+
     def test_rejects_size_not_multiple_of_block(self):
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=4100).validate()

@@ -125,7 +125,7 @@ class TestFineGrainAccessControl:
         tempest.map_page(SHARED_BASE, mode=0, home=0, initial_tag=Tag.READ_WRITE)
         node.cache.insert(SHARED_BASE, LineState.EXCLUSIVE)
         tempest.set_ro(SHARED_BASE)
-        assert node.cache.lookup(SHARED_BASE).state is LineState.SHARED
+        assert node.cache.lookup(SHARED_BASE) is LineState.SHARED
 
     def test_force_ops_bypass_tags(self, machine):
         tempest = machine.tempests[0]

@@ -76,14 +76,14 @@ class TestSharedAccessPermitted:
         node.tempest.map_page(SHARED_BASE, mode=0, home=0,
                               initial_tag=Tag.READ_ONLY)
         run_access(machine, 0, SHARED_BASE)
-        assert node.cache.lookup(SHARED_BASE).state is LineState.SHARED
+        assert node.cache.lookup(SHARED_BASE) is LineState.SHARED
 
     def test_read_of_read_write_block_installs_exclusive(self, machine):
         node = machine.nodes[0]
         node.tempest.map_page(SHARED_BASE, mode=0, home=0,
                               initial_tag=Tag.READ_WRITE)
         run_access(machine, 0, SHARED_BASE)
-        assert node.cache.lookup(SHARED_BASE).state is LineState.EXCLUSIVE
+        assert node.cache.lookup(SHARED_BASE) is LineState.EXCLUSIVE
 
 
 class TestBlockAccessFault:
@@ -128,7 +128,7 @@ class TestBlockAccessFault:
         run_access(machine, 0, SHARED_BASE)  # read: SHARED line cached
         run_access(machine, 0, SHARED_BASE, is_write=True, value=2)
         assert machine.stats.get("node0.cpu.block_faults") == 1
-        assert node.cache.lookup(SHARED_BASE).state is LineState.EXCLUSIVE
+        assert node.cache.lookup(SHARED_BASE) is LineState.EXCLUSIVE
 
     def test_fault_without_handler_is_structural_error(self, machine):
         node = machine.nodes[0]
