@@ -21,8 +21,9 @@ do).
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
+
+from repro.sim.digest import sha256
 
 _cached: str | None = None
 
@@ -53,7 +54,7 @@ def source_digest(refresh: bool = False) -> str:
     global _cached
     if _cached is None or refresh:
         root = Path(__file__).resolve().parent
-        digest = hashlib.sha256()
+        digest = sha256()
         for path in _fingerprinted_files(root):
             digest.update(path.relative_to(root).as_posix().encode())
             digest.update(b"\0")

@@ -272,8 +272,9 @@ class SharedArray:
     def addr(self, index: int, offset: int = 0) -> int:
         if not 0 <= index < self.count:
             raise IndexError(f"{self.label}[{index}] out of range")
-        if offset >= self.record_bytes:
-            raise IndexError(f"offset {offset} exceeds record size")
+        if not 0 <= offset < self.record_bytes:
+            raise IndexError(f"offset {offset} outside the "
+                             f"{self.record_bytes}-byte record")
         if self.striped:
             owner, slot = divmod(index, self.per_owner)
             return self.regions[owner].base + slot * self.record_bytes + offset

@@ -23,7 +23,6 @@ front end over this class; see ``docs/sweeps.md``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from typing import Any
 
@@ -31,6 +30,7 @@ from repro.harness.report import ExperimentResult
 from repro.harness.store import ResultStore
 from repro.harness.sweep import Sweep
 from repro.network.faults import FaultSpec
+from repro.sim.digest import sha256
 
 
 class JobIncomplete(RuntimeError):
@@ -103,7 +103,7 @@ class SweepJob:
         spec = _spec_from_sweep(sweep, nodes)
         spec["digest"] = resolved.digest
         canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-        spec["job"] = hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        spec["job"] = sha256(canonical.encode()).hexdigest()[:12]
         path = resolved.root / "jobs" / f"{spec['job']}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(spec, indent=1, sort_keys=True),

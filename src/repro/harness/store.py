@@ -41,11 +41,12 @@ See ``docs/sweeps.md`` for the manual.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any
+
+from repro.sim.digest import sha256
 
 #: Default store directory, relative to the current working directory.
 DEFAULT_ROOT = ".repro-store"
@@ -101,7 +102,7 @@ def cell_key(cell: tuple, digest: str) -> str:
         not in ("", "0"),
     }
     canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 class ResultStore:

@@ -40,7 +40,6 @@ See ``docs/sweeps.md``.
 from __future__ import annotations
 
 import inspect
-import multiprocessing
 from typing import Any
 
 from repro.harness.report import ExperimentResult
@@ -310,6 +309,7 @@ class Sweep:
         if resolved is None:
             rows: list[dict[str, Any] | None] = [None] * len(cells)
             if workers > 1 and len(cells) > 1:
+                import multiprocessing  # only a pool run pays for it
                 with multiprocessing.Pool(min(workers, len(cells))) as pool:
                     # imap (not imap_unordered): rows must land in cell
                     # order.
@@ -339,6 +339,7 @@ class Sweep:
                         notify(done, total, True)
                 tasks = [(cells[index], str(resolved.root), resolved.digest)
                          for index in miss_indices]
+                import multiprocessing
                 with multiprocessing.Pool(min(workers, len(tasks))) as pool:
                     for index, row in zip(miss_indices,
                                           pool.imap(_run_cell_store, tasks)):

@@ -8,12 +8,18 @@ Streams are derived from one master seed, so:
 * adding a new consumer of randomness does not perturb existing streams
   (each stream is seeded from a stable hash of its name, not from draw
   order).
+
+The hash is SHA-256 of ``"<seed>/<name>"`` (its first 8 bytes, big
+endian), taken from the interpreter's built-in module through
+:mod:`repro.sim.digest` rather than ``hashlib``, so seeding a stream does
+not load OpenSSL; the digest, and so every stream, is the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+from repro.sim.digest import sha256
 
 
 class RngStreams:
@@ -27,7 +33,7 @@ class RngStreams:
         """Return the stream for ``name``, creating it on first use."""
         stream = self._streams.get(name)
         if stream is None:
-            digest = hashlib.sha256(f"{self.seed}/{name}".encode()).digest()
+            digest = sha256(f"{self.seed}/{name}".encode()).digest()
             stream = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = stream
         return stream

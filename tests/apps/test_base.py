@@ -44,8 +44,12 @@ class TestSharedArray:
         m, protocol = machine
         array = SharedArray(m, protocol, count=4, record_bytes=32, label="a")
         assert array.addr(1, offset=8) == array.addr(1) + 8
+        assert array.addr(1, offset=31) == array.addr(1) + 31
+        for offset in (32, -1, -8):
+            with pytest.raises(IndexError):
+                array.addr(1, offset=offset)
         with pytest.raises(IndexError):
-            array.addr(1, offset=32)
+            array.addr(0, offset=-8)
         with pytest.raises(IndexError):
             array.addr(4)
 

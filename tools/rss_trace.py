@@ -1,9 +1,14 @@
 #!/usr/bin/env python
 """Per-cell host-memory trace of one benchmark pass.
 
-Runs the cells of one ``perfbench`` workload in order, in this process,
-as a benchmark pass does (``build_machine``, then ``run_app``: set-up
-and ``run_workers``), and prints after each cell:
+First it prints the import floor: the resident memory before any
+``repro`` import (the interpreter and this script), after the imports a
+benchmark pass makes and the difference, and whether OpenSSL's
+``_hashlib`` or ``multiprocessing`` got loaded (neither should be).
+
+Then it runs the cells of one ``perfbench`` workload in order, in this
+process, as a benchmark pass does (``build_machine``, then ``run_app``:
+set-up and ``run_workers``), and prints after each cell:
 
 * ``rss_mb``: resident memory now (from ``/proc/self/statm``);
 * ``peak_mb``: the process's peak resident memory so far;
@@ -47,6 +52,9 @@ sys.path.insert(0, str(ROOT))
 
 _PAGE_MB = os.sysconf("SC_PAGE_SIZE") / (1024 * 1024)
 
+#: Modules a simulation never uses, which the import floor must not load.
+FLOOR_WATCH = ("_hashlib", "multiprocessing")
+
 
 def rss_mb() -> float:
     with open("/proc/self/statm") as statm:
@@ -67,13 +75,20 @@ def main(argv: list[str] | None = None) -> int:
                              "sites of the cell with the largest peak")
     args = parser.parse_args(argv)
 
+    before = rss_mb()
     from perfbench.cells import cells_for
     from repro.apps.base import run_app
     from repro.harness.runner import build_machine
+    after = rss_mb()
 
     built: weakref.WeakSet = weakref.WeakSet()
-    print(f"{args.workload} seed={args.seed}: after import "
-          f"rss_mb={rss_mb():.1f}")
+    print(f"{args.workload} seed={args.seed}")
+    print(f"  rss_mb before repro import {before:6.1f}")
+    print(f"  rss_mb after import        {after:6.1f}  "
+          f"(+{after - before:.1f})")
+    print("  loaded: " + ", ".join(
+        f"{name} {'yes' if name in sys.modules else 'no'}"
+        for name in FLOOR_WATCH))
     header = f"{'cell':<40} {'rss_mb':>7} {'peak_mb':>8} {'alive':>6} {'gen2':>5}"
     if args.top:
         tracemalloc.start()
