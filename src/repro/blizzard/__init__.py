@@ -19,7 +19,7 @@ claim.  Second, the Typhoon hardware's value can be measured: the
 software-vs-hardware Tempest bench quantifies what the NP buys.
 """
 
-from repro.blizzard.node import BlizzardNode, SoftwareDispatcher
+from repro.blizzard.node import BlizzardNode
 from repro.blizzard.system import BlizzardMachine
 
-__all__ = ["BlizzardMachine", "BlizzardNode", "SoftwareDispatcher"]
+__all__ = ["BlizzardMachine", "BlizzardNode"]

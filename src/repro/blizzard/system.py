@@ -84,10 +84,7 @@ class BlizzardMachine(MachineBase):
                 while node._inbox:
                     message = node._pick_next_message()
                     spec = node.registry.lookup(message.handler)
-                    spec.fn(node.tempest, message)
-                    if self.conformance is not None:
-                        self.conformance.after_handler(node.node_id, message)
-                    node.np.take_charge()
+                    node.np.run(spec.fn, message)
                     progressed = True
             self.engine.run()
             if not progressed:

@@ -12,8 +12,9 @@ Every aligned memory block carries an access tag:
 The nine Table 1 operations are implemented across two layers: this module
 provides the tag array and the checked/unchecked access primitives; thread
 suspension and handler dispatch (``read``/``write`` faulting and
-``resume``) live in :mod:`repro.tempest.access` and
-:mod:`repro.typhoon.np`, which own the threads and the hardware.
+``resume``) live in :mod:`repro.tempest.node` (the CPU access path) and
+:mod:`repro.tempest.dispatch` (the handler dispatchers), which own the
+threads and the handler processors.
 
 Tags exist only for pages registered with the store (the shared segment);
 private memory is untagged and always accessible.
@@ -172,8 +173,8 @@ class TagStore:
 
     def invalidate(self, addr: int) -> None:
         """Set INVALID.  Invalidating local hardware-cache copies is the
-        caller's job (the NP issues the MBus invalidate; see
-        :meth:`repro.typhoon.np.NetworkProcessor.op_invalidate`)."""
+        caller's job (:meth:`repro.tempest.interface.Tempest.invalidate`
+        does both)."""
         self.set_tag(addr, Tag.INVALID)
 
     # ------------------------------------------------------------------

@@ -151,9 +151,10 @@ class TempestPort(Protocol):
     :class:`~repro.tempest.interface.TempestBackend` and exposes the
     protocol wiring points: ``node.tempest`` (the per-node facade),
     ``node.np.set_fault_handler(mode, is_write, handler_name)`` (the
-    block-access-fault dispatch table — a real NP on Typhoon, a
-    dedicated handler processor on the decoupled backend, a software
-    dispatcher on Blizzard), and ``node.set_page_fault_handler(fn)``.
+    block-access-fault dispatch table of a
+    :class:`~repro.tempest.dispatch.Dispatcher` — a real NP on Typhoon,
+    a dedicated handler processor on the decoupled backend, inline
+    software dispatch on Blizzard), and ``node.set_page_fault_handler(fn)``.
     """
 
     config: Any

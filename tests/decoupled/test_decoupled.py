@@ -159,7 +159,7 @@ class TestHandlerProcessor:
         machine, _protocol, _region = make_machine(nodes=2)
         machine.install_fault_plan(
             FaultSpec(name="bounded", recv_queue_limit=0, retry_timeout=100))
-        hp = machine.nodes[0].hp
+        hp = machine.nodes[0].np
         assert hp._recv_limit == 0
         tracked = Message(src=1, dst=0, handler="stache.get_ro",
                           vnet=VirtualNetwork.REQUEST, xid=7)

@@ -1,14 +1,16 @@
 """Unit tests for the fault-injection layer (repro.network.faults).
 
 Covers the FaultSpec/FaultPlan surface, the interconnect's four link
-faults, the reliable transport's retry/backoff/NACK machinery, the NP's
-bounded queues and stall windows, and the DeliveryGuard.  End-to-end
+faults, the reliable transport's retry/backoff/NACK machinery, the
+dispatch loop's bounded queues and stall windows (on Typhoon's NP and
+the decoupled backend's second CPU), and the DeliveryGuard.  End-to-end
 resilience under random workloads lives in
 tests/integration/test_fault_resilience.py.
 """
 
 import pytest
 
+from repro.decoupled.system import DecoupledMachine
 from repro.network.faults import RELIABILITY_LADDER, FaultPlan, FaultSpec
 from repro.network.message import NACK_HANDLER, Message, VirtualNetwork
 from repro.sim.config import MachineConfig
@@ -104,8 +106,8 @@ def test_reliability_ladder_starts_reliable_and_gets_lossier():
 # ----------------------------------------------------------------------
 # Interconnect + transport, driven through a real two-node machine
 # ----------------------------------------------------------------------
-def machine_with(spec, nodes=2, seed=3):
-    machine = TyphoonMachine(MachineConfig(nodes=nodes, seed=seed))
+def machine_with(spec, nodes=2, seed=3, machine_cls=TyphoonMachine):
+    machine = machine_cls(MachineConfig(nodes=nodes, seed=seed))
     calls = []
 
     def handler(tempest, message):
@@ -215,9 +217,19 @@ def test_send_queue_credit_returns_exactly_once_under_faults():
     assert not machine.transport.pending
 
 
-def test_recv_queue_bound_nacks_and_recovers():
+#: The two backends whose handlers run in a queued dispatch loop, with
+#: the counter lane of that loop.
+QUEUED_BACKENDS = pytest.mark.parametrize("machine_cls, lane", [
+    pytest.param(TyphoonMachine, "np", id="typhoon"),
+    pytest.param(DecoupledMachine, "hp", id="decoupled"),
+])
+
+
+@QUEUED_BACKENDS
+def test_recv_queue_bound_nacks_and_recovers(machine_cls, lane):
     machine, _plan, calls = machine_with(
-        FaultSpec(recv_queue_limit=1, retry_timeout=200))
+        FaultSpec(recv_queue_limit=1, retry_timeout=200),
+        machine_cls=machine_cls)
     # Three same-cycle sends: the first dispatches immediately, the
     # second queues, the third finds the queue full and is NACKed.
     for index in range(3):
@@ -226,7 +238,7 @@ def test_recv_queue_bound_nacks_and_recovers():
     assert sorted(tag for _n, tag, _x in calls) == [0, 1, 2]
     stats = machine.stats
     assert stats.get("tempest.nacks_sent") >= 1
-    assert stats.get("node1.np.nacks_sent") >= 1
+    assert stats.get(f"node1.{lane}.nacks_sent") >= 1
     assert stats.get("tempest.nacks_received") >= 1
     assert not machine.transport.pending
 
@@ -247,25 +259,32 @@ def test_baf_overflow_represents_fault_without_losing_it():
     fault_a, fault_b = object(), object()
     np._present_fault(fault_a)
     np._present_fault(fault_b)  # over the bound: deferred, not dropped
-    assert list(np._baf_buffer) == [fault_a]
+    assert list(np._fault_queue) == [fault_a]
     assert machine.stats.get("node0.np.baf_overflows") == 1
     # After the drain delay the fault is re-presented; make room first.
-    np._baf_buffer.clear()
+    np._fault_queue.clear()
     machine.engine.run(until=machine.config.typhoon.overflow_drain_cycles)
-    assert list(np._baf_buffer) == [fault_b]
+    assert list(np._fault_queue) == [fault_b]
     np._busy = False
 
 
-def test_stall_window_freezes_dispatch_until_wake():
+@QUEUED_BACKENDS
+def test_stall_window_freezes_dispatch_until_wake(machine_cls, lane):
     machine, _plan, calls = machine_with(
-        FaultSpec(stall_every=1000, stall_cycles=100))
-    latency = machine.config.network.latency
+        FaultSpec(stall_every=1000, stall_cycles=100),
+        machine_cls=machine_cls)
+    # Arrival at the network latency falls inside the [0, 100) stall
+    # window, so dispatch waits until cycle 100, then charges the
+    # handler's 10 instructions (plus, on the decoupled backend, its
+    # software poll-and-dispatch sequence).
+    costs = machine.config.decoupled
+    dispatch = (costs.poll_notice_cycles + costs.dispatch_cycles
+                if lane == "hp" else 0)
+    assert machine.config.network.latency < 100
     machine.tempests[0].send(1, "test.echo", tag="a")
     machine.engine.run()
-    # Arrival at `latency` falls inside the [0, 100) stall window, so
-    # dispatch waits until cycle 100, then charges 10 handler cycles.
-    assert machine.engine.now == 100 + 10
-    assert machine.stats.get("node1.np.stalls") >= 1
+    assert machine.engine.now == 100 + dispatch + 10
+    assert machine.stats.get(f"node1.{lane}.stalls") >= 1
     assert len(calls) == 1
 
 

@@ -2,24 +2,28 @@
 
 The paper's portability claim means the *interface's observable
 behaviour* must not depend on the backend.  This suite runs one battery
-of semantic checks against both implementations — Typhoon (hardware NP)
-and Blizzard (all software) — via a parametrized fixture.  Timing may
-differ; semantics may not.
+of semantic checks against every implementation — Typhoon (hardware NP),
+decoupled (handlers on a second CPU) and Blizzard (all software) — via a
+parametrized fixture.  Timing may differ; semantics may not.
 """
 
 import pytest
 
 from repro.blizzard.system import BlizzardMachine
+from repro.decoupled.system import DecoupledMachine
 from repro.memory.address import SHARED_BASE
 from repro.memory.tags import Tag
 from repro.sim.config import MachineConfig
+from repro.tempest.dispatch import DispatchError
 from repro.typhoon.system import TyphoonMachine
 
+BACKENDS = {"typhoon": TyphoonMachine, "decoupled": DecoupledMachine,
+            "blizzard": BlizzardMachine}
 
-@pytest.fixture(params=["typhoon", "blizzard"])
+
+@pytest.fixture(params=list(BACKENDS))
 def machine(request):
-    cls = TyphoonMachine if request.param == "typhoon" else BlizzardMachine
-    return cls(MachineConfig(nodes=3, seed=4))
+    return BACKENDS[request.param](MachineConfig(nodes=3, seed=4))
 
 
 def test_backend_protocol_shape(machine):
@@ -124,3 +128,18 @@ def test_checked_access_faults_reach_user_handler(machine):
     machine.run_workers(worker)
     assert seen == [(SHARED_BASE, True)]
     assert node.image.read(SHARED_BASE + 8) == 5
+
+
+def test_unbound_fault_raises_the_shared_dispatch_error(machine):
+    node = machine.nodes[0]
+    node.tempest.map_page(SHARED_BASE, mode=5, home=0,
+                          initial_tag=Tag.INVALID)
+
+    def worker(node_id):
+        if node_id == 0:
+            yield from node.access(SHARED_BASE, False)
+        else:
+            yield 1
+
+    with pytest.raises(DispatchError, match="no fault handler for mode=5"):
+        machine.run_workers(worker)

@@ -1,8 +1,10 @@
 """Property tests for the NP dispatch machinery under message storms."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.decoupled.system import DecoupledMachine
 from repro.network.message import VirtualNetwork
 from repro.sim.config import MachineConfig, TyphoonCosts
 from repro.typhoon.system import TyphoonMachine
@@ -19,8 +21,8 @@ STORMS = st.lists(
 )
 
 
-def build(depth=4):
-    machine = TyphoonMachine(MachineConfig(
+def build(depth=4, machine_cls=TyphoonMachine):
+    machine = machine_cls(MachineConfig(
         nodes=4, seed=3, typhoon=TyphoonCosts(send_queue_depth=depth)))
     log = []
     machine.tempests[3].register_handler(
@@ -65,10 +67,12 @@ def test_property_per_channel_fifo_survives_storms(storm):
         assert sequence == sorted(sequence)
 
 
-def test_response_work_always_dispatches_before_queued_requests():
-    machine, log = build(depth=64)
+@pytest.mark.parametrize("machine_cls", [TyphoonMachine, DecoupledMachine],
+                         ids=["typhoon", "decoupled"])
+def test_response_work_always_dispatches_before_queued_requests(machine_cls):
+    machine, log = build(depth=64, machine_cls=machine_cls)
     # Saturate with requests, then one response mid-stream: every time the
-    # NP picks new work, a waiting response must win.
+    # dispatch loop picks new work, a waiting response must win.
     for seq in range(10):
         machine.tempests[0].send(3, "sink", vnet=VirtualNetwork.REQUEST,
                                  seq=seq)

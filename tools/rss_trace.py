@@ -33,6 +33,8 @@ Usage::
 
     python tools/rss_trace.py --workload figure4 --seed 42
     python tools/rss_trace.py --workload paper32 --top 10
+
+Piped into a reader that stops early (``| head``), it exits quietly.
 """
 
 from __future__ import annotations
@@ -141,4 +143,13 @@ def print_top_sites(snapshot: tracemalloc.Snapshot, cell_id: str,
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): stop quietly.  Point
+        # stdout at devnull so the interpreter's own flush at exit cannot
+        # fail again (the recipe in the ``signal`` module's docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
